@@ -43,7 +43,7 @@ _FILTER_FLAGS = [
     ("--alpha", float, "teleport probability in (0,1)"),
     ("--hops", int, "propagation depth of the exact filter"),
     ("--rrz", float, "degree-normalization exponent in [0,1]"),
-    ("--r-max", float, "estimator accuracy knob (derives the walk budget)"),
+    ("--r-max", float, "walk budget per node = ceil(1/r_max)"),
     ("--n-walks", int, "explicit walks per node for the estimator"),
 ]
 _TRAIN_FLAGS = [
@@ -121,7 +121,7 @@ def _cmd_filter(args) -> int:
     x = load_features(cfg.features)
     xf = _filter_features(g, x, cfg, cfg.train.seed, None)
     save_filtered_cache(out_dir / "filtered.npz", xf, g, cfg.filter,
-                        method=cfg.filter_method)
+                        method=cfg.filter_method, features=x)
     if args.text:
         save_features(xf, out_dir / "filtered.txt")
     print(f"filtered {xf.shape[0]}x{xf.shape[1]} -> {out_dir / 'filtered.npz'}")

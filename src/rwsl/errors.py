@@ -18,11 +18,6 @@ class AlreadyAugmentedError(ValueError):
     """Self-loop augmentation requested on a graph that already has it."""
 
 
-class UnsupportedConfigError(ValueError):
-    """A configuration that an operation does not support (e.g. rrz != 0.5
-    for the random-walk filter)."""
-
-
 class DivergenceError(RuntimeError):
     """Training produced a non-finite loss; usually the learning rate is
     too high for the data scale."""

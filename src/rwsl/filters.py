@@ -5,12 +5,16 @@ teleport weights w_l = alpha * (1 - alpha)^l and one-hop propagation
 T = D^(rrz-1) * A * D^(-rrz) on the self-loop-augmented graph. Two routes are
 provided: an exact sparse iteration (``filter_exact``, O(L*E*F), never
 materializes a dense operator) and an unbiased Monte-Carlo random-walk
-estimator (``filter_randomwalk``) for the rrz = 0.5 case, whose error
-shrinks as O(1/sqrt(n_walks)).
+estimator (``filter_randomwalk``) for any rrz in [0, 1], whose error
+shrinks as O(1/sqrt(n_walks)). The estimator walks all nodes at once in
+chunks of at most ``WALK_CHUNK`` walks, each with its own RNG stream seeded by
+(seed, chunk index), so its memory stays O(WALK_CHUNK + n * F) and its
+output is bit-identical across runs for a given seed.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from dataclasses import dataclass
@@ -19,8 +23,11 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import CacheMismatchError, UnsupportedConfigError
+from .errors import CacheMismatchError
 from .graph import CsrGraph, as_features, graph_hash
+
+# Walks advanced together by ``filter_randomwalk``; bounds its temporaries.
+WALK_CHUNK = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -33,7 +40,7 @@ class FilterConfig:
              is exactly (1 - alpha)^(L + 1).
     rrz      degree-normalization exponent in [0, 1] splitting D^(rrz-1) A D^(-rrz).
     r_max    estimator accuracy knob; when n_walks is not given the walk
-             budget per node is ceil(walk_scale / r_max).
+             budget per node is ceil(1 / r_max).
     n_walks  explicit Monte-Carlo walk budget per node (overrides r_max).
     """
 
@@ -42,8 +49,6 @@ class FilterConfig:
     rrz: float = 0.4
     r_max: float = 1e-5
     n_walks: Optional[int] = None
-    walk_scale: float = 1.0
-    weight_scheme: str = "ppr"
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
@@ -56,14 +61,12 @@ class FilterConfig:
             raise ValueError("r_max must be positive")
         if self.n_walks is not None and self.n_walks < 1:
             raise ValueError("n_walks must be >= 1")
-        if self.weight_scheme != "ppr":
-            raise ValueError(f"unknown weight scheme {self.weight_scheme!r}")
 
     @property
     def effective_n_walks(self) -> int:
         if self.n_walks is not None:
             return self.n_walks
-        return max(1, math.ceil(self.walk_scale / self.r_max))
+        return max(1, math.ceil(1.0 / self.r_max))
 
 
 def ppr_weights(alpha: float, hops: int) -> np.ndarray:
@@ -120,92 +123,122 @@ def filter_exact(g: CsrGraph, x: np.ndarray, cfg: FilterConfig) -> np.ndarray:
 
 def filter_randomwalk(g: CsrGraph, x: np.ndarray, cfg: FilterConfig,
                       seed: int) -> np.ndarray:
-    """Monte-Carlo estimate of the untruncated filter for rrz = 0.5.
+    """Monte-Carlo estimate of the untruncated filter, for any rrz in [0, 1].
 
-    For rrz = 0.5 the operator factors through the lazy random walk:
-    T^l x = D^(1/2) W^l D^(-1/2) x with W the uniform-neighbor transition
-    matrix, so the geometric teleport mixture of T-powers equals the
-    endpoint distribution of walks that stop with probability alpha before
-    each move. Per node u the estimate averages (x_v / sqrt(deg_v)) over
-    walk endpoints v and rescales by sqrt(deg_u); it is unbiased for the
-    infinite-hop filter.
+    With W = D^-1 A the uniform-neighbor transition matrix, the operator is
+    T = D^rrz W D^-rrz, so T^l x = D^rrz W^l D^-rrz x and the geometric
+    teleport mixture of T-powers equals the endpoint distribution of walks
+    that stop with probability alpha before each move. Per node u the
+    estimate averages deg_v^-rrz x_v over the endpoints v of
+    ``cfg.effective_n_walks`` walks and rescales by deg_u^rrz; it is unbiased
+    for the infinite-hop filter.
 
-    Walks for node u are drawn from an RNG stream seeded by (seed, u), so
-    the result is independent of scheduling order and bit-identical across
-    runs for a given seed.
+    All nodes walk together in chunks of at most ``WALK_CHUNK`` walks: a chunk
+    holds whole nodes, or one node's walks split into near-equal parts when
+    the budget exceeds a chunk. Each chunk's endpoints are folded into a
+    sparse (chunk nodes x n) count matrix and dropped, so temporaries stay
+    O(WALK_CHUNK + n * F) whatever the budget. Chunk c draws from an RNG
+    stream seeded by (seed, c), so the result is bit-identical across runs
+    for a given seed.
     """
     x = as_features(x)
     if x.shape[0] != g.n_nodes:
         raise ValueError(f"feature rows {x.shape[0]} != n_nodes {g.n_nodes}")
     if not g.self_loops_added:
         raise ValueError("random-walk filter requires the augmented graph")
-    if cfg.rrz != 0.5:
-        raise UnsupportedConfigError(
-            f"random-walk estimator supports rrz = 0.5 only (got {cfg.rrz})")
+    n = g.n_nodes
     deg = g.degrees.astype(np.float64)
-    sqrt_deg = np.sqrt(deg)
-    x_scaled = x / sqrt_deg[:, None]
+    deg_pow = deg ** cfg.rrz
+    x_scaled = x / deg_pow[:, None]
     offs, cols = g.row_offsets, g.col_indices
     n_walks = cfg.effective_n_walks
-    alpha = cfg.alpha
-    out = np.empty_like(x)
-    for u in range(g.n_nodes):
-        rng = np.random.default_rng([seed, u])
-        # number of moves before stopping: P(l) = alpha * (1 - alpha)^l
-        lengths = rng.geometric(alpha, size=n_walks) - 1
-        lengths.sort()
-        pos = np.full(n_walks, u, dtype=np.int64)
-        for step in range(int(lengths[-1]) if n_walks else 0):
-            lo = np.searchsorted(lengths, step, side="right")
-            active = pos[lo:]
-            picks = rng.integers(0, deg[active].astype(np.int64))
-            pos[lo:] = cols[offs[active] + picks]
-        out[u] = sqrt_deg[u] * x_scaled[pos].mean(axis=0)
-    return out
+    parts = -(-n_walks // WALK_CHUNK)
+    base, extra = divmod(n_walks, parts)
+    part_sizes = [base + 1] * extra + [base] * (parts - extra)
+    nodes_per_chunk = max(1, WALK_CHUNK // n_walks)
+    out = np.zeros_like(x)
+    chunk = 0
+    for lo in range(0, n, nodes_per_chunk):
+        hi = min(lo + nodes_per_chunk, n)
+        for size in part_sizes:
+            rng = np.random.default_rng([seed, chunk])
+            chunk += 1
+            # number of moves before stopping: P(l) = alpha * (1 - alpha)^l
+            lengths = rng.geometric(cfg.alpha, size=(hi - lo) * size) - 1
+            # stable order by length (a radix sort on the narrowest dtype), so
+            # the walks still moving at step s are the tail pos[starts[s]:]
+            order = np.argsort(lengths.astype(np.min_scalar_type(lengths.max())),
+                               kind="stable")
+            starts = np.cumsum(np.bincount(lengths))[:-1]
+            src = order // size
+            pos = src + lo
+            for first in starts:
+                active = pos[first:]
+                # floor(u * deg) < deg for every double u < 1: a uniform neighbor
+                picks = (rng.random(len(active)) * deg[active]).astype(np.int64)
+                pos[first:] = cols[offs[active] + picks]
+            key, counts = np.unique(src * n + pos, return_counts=True)
+            indptr = np.searchsorted(key // n, np.arange(hi - lo + 1))
+            walk_mix = sp.csr_matrix((counts / n_walks, key % n, indptr),
+                                     shape=(hi - lo, n))
+            out[lo:hi] += walk_mix @ x_scaled
+    return deg_pow[:, None] * out
 
 
 # ---------------------------------------------------------------------------
 # filtered-feature cache
 
-_CACHE_VERSION = 1
+_CACHE_VERSION = 2
 
 
-def save_filtered_cache(path, values: np.ndarray, g: CsrGraph, cfg: FilterConfig,
-                        method: str = "exact") -> None:
-    """Persist filtered features with a header that pins the producing config."""
-    header = {
+def _features_sha256(x: np.ndarray) -> str:
+    """sha256 of a feature matrix's shape and float64 bytes, hashed in place."""
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    h = hashlib.sha256(repr(x.shape).encode())
+    h.update(memoryview(x).cast("B"))
+    return h.hexdigest()
+
+
+def _cache_header(g: CsrGraph, cfg: FilterConfig, method: str,
+                  features: Optional[np.ndarray]) -> dict:
+    return {
         "version": _CACHE_VERSION,
         "alpha": cfg.alpha,
         "hops": cfg.hops,
         "rrz": cfg.rrz,
         "r_max": cfg.r_max,
+        "n_walks": cfg.n_walks,
         "method": method,
         "graph_hash": graph_hash(g),
+        "features_sha256": None if features is None else _features_sha256(features),
     }
+
+
+def save_filtered_cache(path, values: np.ndarray, g: CsrGraph, cfg: FilterConfig,
+                        method: str = "exact",
+                        features: Optional[np.ndarray] = None) -> None:
+    """Persist filtered features with a header that pins the producing config,
+    the graph and, when given, the unfiltered ``features``."""
+    header = _cache_header(g, cfg, method, features)
     np.savez(path, values=as_features(values), header=np.array(json.dumps(header)))
 
 
 def load_filtered_cache(path, g: CsrGraph, cfg: FilterConfig,
-                        method: str = "exact") -> np.ndarray:
+                        method: str = "exact",
+                        features: Optional[np.ndarray] = None) -> np.ndarray:
     """Load a cache written by ``save_filtered_cache``.
 
     Raises ``CacheMismatchError`` when the stored header does not match the
-    requested configuration or graph (stale cache).
+    requested configuration or graph, or, when ``features`` is given, was
+    not computed from exactly these features (stale cache).
     """
     with np.load(path) as blob:
         header = json.loads(str(blob["header"]))
         values = blob["values"]
-    expected = {
-        "version": _CACHE_VERSION,
-        "alpha": cfg.alpha,
-        "hops": cfg.hops,
-        "rrz": cfg.rrz,
-        "r_max": cfg.r_max,
-        "method": method,
-        "graph_hash": graph_hash(g),
-    }
-    if header != expected:
-        diffs = {k: (header.get(k), expected[k])
-                 for k in expected if header.get(k) != expected[k]}
+    expected = _cache_header(g, cfg, method, features)
+    if features is None:
+        del expected["features_sha256"]
+    diffs = {k: (header.get(k), v) for k, v in expected.items() if header.get(k) != v}
+    if diffs:
         raise CacheMismatchError(f"stale filtered-feature cache: {diffs}")
     return as_features(values)

@@ -214,12 +214,12 @@ def _filter_features(g_aug: CsrGraph, x_raw: np.ndarray, cfg: RunConfig,
         return filter_randomwalk(g_aug, x_raw, cfg.filter, seed)
     if cache_path is not None and cache_path.exists():
         try:
-            return load_filtered_cache(cache_path, g_aug, cfg.filter)
+            return load_filtered_cache(cache_path, g_aug, cfg.filter, features=x_raw)
         except (CacheMismatchError, OSError, KeyError, ValueError):
             pass  # stale or unreadable: recompute below
     xf = filter_exact(g_aug, x_raw, cfg.filter)
     if cache_path is not None:
-        save_filtered_cache(cache_path, xf, g_aug, cfg.filter)
+        save_filtered_cache(cache_path, xf, g_aug, cfg.filter, features=x_raw)
     return xf
 
 

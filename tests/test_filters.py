@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from rwsl.errors import CacheMismatchError, UnsupportedConfigError
-from rwsl.filters import (FilterConfig, filter_exact, filter_randomwalk,
+from rwsl.errors import CacheMismatchError
+from rwsl.filters import (WALK_CHUNK, FilterConfig, filter_exact, filter_randomwalk,
                           load_filtered_cache, ppr_weights, propagate_step,
                           save_filtered_cache)
 from rwsl.graph import augment_self_loops, from_edge_array, rmat_generate
@@ -66,8 +66,7 @@ class TestConfig:
 
     def test_validation(self):
         for bad in (dict(alpha=0.0), dict(alpha=1.0), dict(hops=-1),
-                    dict(rrz=1.5), dict(r_max=0.0), dict(n_walks=0),
-                    dict(weight_scheme="heat")):
+                    dict(rrz=1.5), dict(r_max=0.0), dict(n_walks=0)):
             with pytest.raises(ValueError):
                 FilterConfig(**bad)
 
@@ -152,15 +151,45 @@ class TestFilterRandomwalk:
                                 FilterConfig(alpha=0.3, rrz=0.5, n_walks=5), seed=0)
         assert np.allclose(out, [[4.0, 1.0]])
 
-    def test_rrz_restriction(self):
-        with pytest.raises(UnsupportedConfigError):
-            filter_randomwalk(path3(), np.eye(3),
-                              FilterConfig(alpha=0.2, rrz=0.4, n_walks=10), seed=0)
+    def test_any_rrz_matches_exact(self):
+        # MAE reads 0.002-0.004 at this budget; scaling by the wrong rrz
+        # (0.5) is off by 0.019-0.105
+        g = augment_self_loops(rmat_generate(100, 5, seed=7))
+        x = np.random.default_rng(8).random((100, 4))
+        for rrz in (0.0, 0.4, 1.0):
+            est = filter_randomwalk(g, x, FilterConfig(alpha=0.2, rrz=rrz, n_walks=10_000),
+                                    seed=0)
+            ref = filter_exact(g, x, FilterConfig(alpha=0.2, hops=100, rrz=rrz))
+            assert np.abs(est - ref).mean() < 0.008, rrz
+
+    def test_self_loops_only_spanning_chunks(self):
+        # whole nodes per chunk: each row averages n_walks copies of itself
+        n_walks = WALK_CHUNK // 2 - 1
+        empty = np.array([], dtype=np.int64)
+        g = augment_self_loops(from_edge_array(7, empty, empty))
+        x = np.random.default_rng(9).standard_normal((7, 3))
+        cfg = FilterConfig(alpha=0.3, rrz=0.4, n_walks=n_walks)
+        assert np.array_equal(filter_randomwalk(g, x, cfg, seed=1), x)
+        # one node's walks split over three chunks
+        cfg = FilterConfig(alpha=0.3, rrz=0.4, n_walks=2 * WALK_CHUNK + 1)
+        np.testing.assert_allclose(filter_randomwalk(g, x, cfg, seed=1), x,
+                                   rtol=1e-14, atol=0)
 
     def test_deterministic_per_seed(self):
         g = path3()
         x = np.random.default_rng(3).random((3, 2))
         cfg = FilterConfig(alpha=0.2, rrz=0.5, n_walks=500)
+        a = filter_randomwalk(g, x, cfg, seed=11)
+        b = filter_randomwalk(g, x, cfg, seed=11)
+        c = filter_randomwalk(g, x, cfg, seed=12)
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, c)
+
+    def test_deterministic_across_chunks(self):
+        g = augment_self_loops(rmat_generate(300, 4, seed=3))
+        x = np.random.default_rng(10).random((300, 2))
+        cfg = FilterConfig(alpha=0.2, rrz=0.5, n_walks=1000)
+        assert g.n_nodes * cfg.n_walks > 3 * WALK_CHUNK
         a = filter_randomwalk(g, x, cfg, seed=11)
         b = filter_randomwalk(g, x, cfg, seed=11)
         c = filter_randomwalk(g, x, cfg, seed=12)
@@ -201,6 +230,18 @@ class TestCache:
         save_filtered_cache(tmp_path / "c.npz", np.zeros((3, 2)), g, FilterConfig(alpha=0.1))
         with pytest.raises(CacheMismatchError):
             load_filtered_cache(tmp_path / "c.npz", g, FilterConfig(alpha=0.2))
+
+    def test_stale_features_and_walks_rejected(self, tmp_path):
+        g = path3()
+        x = np.eye(3)
+        save_filtered_cache(tmp_path / "c.npz", np.zeros((3, 2)), g, FilterConfig(),
+                            features=x)
+        assert load_filtered_cache(tmp_path / "c.npz", g, FilterConfig(),
+                                   features=x.copy()).shape == (3, 2)
+        with pytest.raises(CacheMismatchError):
+            load_filtered_cache(tmp_path / "c.npz", g, FilterConfig(), features=2 * x)
+        with pytest.raises(CacheMismatchError):
+            load_filtered_cache(tmp_path / "c.npz", g, FilterConfig(n_walks=5), features=x)
 
     def test_stale_graph_rejected(self, tmp_path):
         g = path3()

@@ -7,8 +7,8 @@ import pytest
 
 from rwsl.cli import main as cli_main
 from rwsl.errors import PipelineStageError
-from rwsl.filters import load_filtered_cache
-from rwsl.graph import augment_self_loops, load_edge_list
+from rwsl.filters import filter_exact, load_filtered_cache
+from rwsl.graph import augment_self_loops, load_edge_list, save_features
 from rwsl.pipeline import (bench_rows_to_csv, bench_scalability,
                            load_config_file, parse_architecture,
                            parse_config_text, resolve_run_config,
@@ -102,6 +102,19 @@ class TestRunPipeline:
         assert cached.shape == (10, 2)
         # a second run must consume the existing cache without error
         run_pipeline(cfg)
+
+    def test_filtered_cache_rejects_changed_features(self, fixture_run_values, tmp_path):
+        cfg = resolve_run_config(fixture_run_values)
+        run_pipeline(cfg)
+        x_new = np.repeat(np.eye(2)[::-1], 5, axis=0) * 3.0
+        save_features(x_new, tmp_path / "features_new.txt")
+        cfg = resolve_run_config({**fixture_run_values,
+                                  "features": str(tmp_path / "features_new.txt")})
+        run_pipeline(cfg)
+        g_aug = augment_self_loops(load_edge_list(cfg.edges, cfg.n_nodes))
+        with np.load(Path(cfg.out) / "filtered.npz") as blob:
+            cached = blob["values"]
+        assert np.array_equal(cached, filter_exact(g_aug, x_new, cfg.filter))
 
     def test_missing_labels_fails_in_load_stage(self, fixture_run_values):
         values = dict(fixture_run_values)
