@@ -177,10 +177,9 @@ def filter_randomwalk(g: CsrGraph, x: np.ndarray, cfg: FilterConfig,
                 # floor(u * deg) < deg for every double u < 1: a uniform neighbor
                 picks = (rng.random(len(active)) * deg[active]).astype(np.int64)
                 pos[first:] = cols[offs[active] + picks]
-            key, counts = np.unique(src * n + pos, return_counts=True)
-            indptr = np.searchsorted(key // n, np.arange(hi - lo + 1))
-            walk_mix = sp.csr_matrix((counts / n_walks, key % n, indptr),
-                                     shape=(hi - lo, n))
+            # duplicate (row, col) pairs are summed into exact endpoint counts
+            walk_mix = sp.csr_matrix((np.ones(len(pos)), (src, pos)), shape=(hi - lo, n))
+            walk_mix.data /= n_walks
             out[lo:hi] += walk_mix @ x_scaled
     return deg_pow[:, None] * out
 
@@ -199,8 +198,8 @@ def _features_sha256(x: np.ndarray) -> str:
     return h.hexdigest()
 
 
-def _cache_header(g: CsrGraph, cfg: FilterConfig, method: str,
-                  features: Optional[np.ndarray]) -> dict:
+def _cache_header(g: CsrGraph, cfg: FilterConfig, features: np.ndarray,
+                  method: str) -> dict:
     return {
         "version": _CACHE_VERSION,
         "alpha": cfg.alpha,
@@ -210,34 +209,30 @@ def _cache_header(g: CsrGraph, cfg: FilterConfig, method: str,
         "n_walks": cfg.n_walks,
         "method": method,
         "graph_hash": graph_hash(g),
-        "features_sha256": None if features is None else _features_sha256(features),
+        "features_sha256": _features_sha256(features),
     }
 
 
 def save_filtered_cache(path, values: np.ndarray, g: CsrGraph, cfg: FilterConfig,
-                        method: str = "exact",
-                        features: Optional[np.ndarray] = None) -> None:
+                        features: np.ndarray, method: str = "exact") -> None:
     """Persist filtered features with a header that pins the producing config,
-    the graph and, when given, the unfiltered ``features``."""
-    header = _cache_header(g, cfg, method, features)
+    the graph and the unfiltered ``features``."""
+    header = _cache_header(g, cfg, features, method)
     np.savez(path, values=as_features(values), header=np.array(json.dumps(header)))
 
 
 def load_filtered_cache(path, g: CsrGraph, cfg: FilterConfig,
-                        method: str = "exact",
-                        features: Optional[np.ndarray] = None) -> np.ndarray:
+                        features: np.ndarray, method: str = "exact") -> np.ndarray:
     """Load a cache written by ``save_filtered_cache``.
 
     Raises ``CacheMismatchError`` when the stored header does not match the
-    requested configuration or graph, or, when ``features`` is given, was
-    not computed from exactly these features (stale cache).
+    requested configuration or graph, or was not computed from exactly these
+    ``features`` (stale cache).
     """
     with np.load(path) as blob:
         header = json.loads(str(blob["header"]))
         values = blob["values"]
-    expected = _cache_header(g, cfg, method, features)
-    if features is None:
-        del expected["features_sha256"]
+    expected = _cache_header(g, cfg, features, method)
     diffs = {k: (header.get(k), v) for k, v in expected.items() if header.get(k) != v}
     if diffs:
         raise CacheMismatchError(f"stale filtered-feature cache: {diffs}")

@@ -220,16 +220,19 @@ class TestCache:
     def test_round_trip(self, tmp_path):
         g = path3()
         cfg = FilterConfig()
+        x = np.eye(3)
         values = np.random.default_rng(0).random((3, 2))
-        save_filtered_cache(tmp_path / "c.npz", values, g, cfg)
-        loaded = load_filtered_cache(tmp_path / "c.npz", g, cfg)
+        save_filtered_cache(tmp_path / "c.npz", values, g, cfg, features=x)
+        loaded = load_filtered_cache(tmp_path / "c.npz", g, cfg, features=x)
         assert np.array_equal(loaded, values)
 
     def test_stale_config_rejected(self, tmp_path):
         g = path3()
-        save_filtered_cache(tmp_path / "c.npz", np.zeros((3, 2)), g, FilterConfig(alpha=0.1))
+        x = np.eye(3)
+        save_filtered_cache(tmp_path / "c.npz", np.zeros((3, 2)), g, FilterConfig(alpha=0.1),
+                            features=x)
         with pytest.raises(CacheMismatchError):
-            load_filtered_cache(tmp_path / "c.npz", g, FilterConfig(alpha=0.2))
+            load_filtered_cache(tmp_path / "c.npz", g, FilterConfig(alpha=0.2), features=x)
 
     def test_stale_features_and_walks_rejected(self, tmp_path):
         g = path3()
@@ -246,6 +249,7 @@ class TestCache:
     def test_stale_graph_rejected(self, tmp_path):
         g = path3()
         other = augment_self_loops(from_edge_array(3, np.array([0]), np.array([2])))
-        save_filtered_cache(tmp_path / "c.npz", np.zeros((3, 2)), g, FilterConfig())
+        x = np.eye(3)
+        save_filtered_cache(tmp_path / "c.npz", np.zeros((3, 2)), g, FilterConfig(), features=x)
         with pytest.raises(CacheMismatchError):
-            load_filtered_cache(tmp_path / "c.npz", other, FilterConfig())
+            load_filtered_cache(tmp_path / "c.npz", other, FilterConfig(), features=x)

@@ -8,7 +8,8 @@ import pytest
 from rwsl.cli import main as cli_main
 from rwsl.errors import PipelineStageError
 from rwsl.filters import filter_exact, load_filtered_cache
-from rwsl.graph import augment_self_loops, load_edge_list, save_features
+from rwsl.graph import (augment_self_loops, load_edge_list, load_features,
+                        save_features)
 from rwsl.pipeline import (bench_rows_to_csv, bench_scalability,
                            load_config_file, parse_architecture,
                            parse_config_text, resolve_run_config,
@@ -98,7 +99,8 @@ class TestRunPipeline:
         cfg = resolve_run_config(fixture_run_values)
         run_pipeline(cfg)
         g_aug = augment_self_loops(load_edge_list(cfg.edges, cfg.n_nodes))
-        cached = load_filtered_cache(Path(cfg.out) / "filtered.npz", g_aug, cfg.filter)
+        cached = load_filtered_cache(Path(cfg.out) / "filtered.npz", g_aug, cfg.filter,
+                                     features=load_features(cfg.features))
         assert cached.shape == (10, 2)
         # a second run must consume the existing cache without error
         run_pipeline(cfg)
