@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import time
 import tracemalloc
 from dataclasses import dataclass, field, replace
@@ -215,8 +216,10 @@ def _filter_features(g_aug: CsrGraph, x_raw: np.ndarray, cfg: RunConfig,
     if cache_path is not None and cache_path.exists():
         try:
             return load_filtered_cache(cache_path, g_aug, cfg.filter, features=x_raw)
-        except (CacheMismatchError, OSError, KeyError, ValueError):
-            pass  # stale or unreadable: recompute below
+        except (CacheMismatchError, OSError, KeyError, ValueError) as exc:
+            # stale or unreadable: recompute below
+            logging.getLogger(__name__).warning(
+                "rejected filtered-feature cache %s: %s: %s", cache_path, type(exc).__name__, exc)
     xf = filter_exact(g_aug, x_raw, cfg.filter)
     if cache_path is not None:
         save_filtered_cache(cache_path, xf, g_aug, cfg.filter, features=x_raw)

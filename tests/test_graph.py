@@ -1,9 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from rwsl import graph as graph_module
 from rwsl.errors import AlreadyAugmentedError, EdgeListParseError, NodeIdRangeError
-from rwsl.graph import (as_features, as_labels, augment_self_loops,
+from rwsl.graph import (CsrGraph, _csr_from_directed, _edge_pairs_by_line,
+                        as_features, as_labels, augment_self_loops,
                         disjoint_cliques, from_edge_array, graph_hash,
                         load_edge_list, load_features, load_labels,
                         rmat_generate, save_edge_list, save_features,
@@ -54,6 +58,203 @@ class TestLoadEdgeList:
         g = load_edge_list(write(tmp_path, "0 1\n"), 4)
         assert g.n_nodes == 4
         assert list(g.degrees) == [1, 1, 0, 0]
+
+
+def _load_outcome(load):
+    """Graph hash, or the exception type, line number and message."""
+    try:
+        return graph_hash(load())
+    except (EdgeListParseError, NodeIdRangeError) as err:
+        return type(err), getattr(err, "line_no", None), str(err)
+
+
+DIFF_NODES = 12
+_valid_line = st.builds(lambda u, v, sep: f"{u}{sep}{v}",
+                        st.integers(0, DIFF_NODES - 1), st.integers(0, DIFF_NODES - 1),
+                        st.sampled_from([" ", "\t", "  ", " \t ", "\xa0"]))
+_odd_line = st.sampled_from([
+    "", "   ", "\t", " 0 1 ", "0 1 2", "1", "1.0 2", "2 1e0", "1_0 2", "٣ 1",
+    "# 0 1", "0 1 #", "0 #", "x y", "+1 2", "01 2", "-0 3", "-1 0",
+    f"{DIFF_NODES} 0", f"0 {DIFF_NODES + 3}", f"{2**63} 1", f"1 {10**30}",
+])
+_edge_files = st.builds(
+    lambda lines, eol, last: eol.join(lines) + (eol if last else ""),
+    st.lists(st.one_of(_valid_line, _valid_line, _odd_line), max_size=12),
+    st.sampled_from(["\n", "\r\n"]), st.booleans())
+
+
+class TestLoadEdgeListFastPath:
+    """``load_edge_list`` reads with one ``np.loadtxt`` call and leaves every
+    file it cannot take whole to the per-line parser."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=_edge_files)
+    def test_matches_line_parser(self, tmp_path_factory, text):
+        path = tmp_path_factory.getbasetemp() / "differential_edges.txt"
+        path.write_bytes(text.encode())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _load_outcome(lambda: load_edge_list(path, DIFF_NODES))
+        want = _load_outcome(lambda: from_edge_array(
+            DIFF_NODES, *_edge_pairs_by_line(path, DIFF_NODES)))
+        assert got == want
+
+    def test_clean_file_skips_line_parser(self, tmp_path, monkeypatch):
+        g = rmat_generate(200, 4, seed=2)
+        save_edge_list(g, tmp_path / "e.txt")
+
+        def fail(*args):
+            raise AssertionError("per-line parser used on a clean file")
+
+        monkeypatch.setattr(graph_module, "_edge_pairs_by_line", fail)
+        assert graph_hash(load_edge_list(tmp_path / "e.txt", 200)) == graph_hash(g)
+
+    @pytest.mark.parametrize("text", ["", "\n\n", "  \n\t\r\n"])
+    def test_empty_or_blank_file_gives_empty_graph(self, tmp_path, text):
+        path = tmp_path / "e.txt"
+        path.write_bytes(text.encode())
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            g = load_edge_list(path, 3)
+        assert caught == []
+        assert g.n_edges == 0 and list(g.degrees) == [0, 0, 0]
+
+    @pytest.mark.parametrize("bad_line, error", [("3 4 5", EdgeListParseError),
+                                                  ("3 100", NodeIdRangeError)])
+    def test_late_bad_line_reports_number(self, tmp_path, bad_line, error):
+        lines = [f"{i % 100} {(i * 7 + 1) % 100}" for i in range(50_000)]
+        path = write(tmp_path, "\n".join(lines + [bad_line, "0 1"]) + "\n")
+        with pytest.raises(error, match=r":50001: "):
+            load_edge_list(path, 100)
+
+
+class TestCsrFromDirected:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_unique_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 300))
+        m = int(rng.integers(0, 4000))
+        src, dst = rng.integers(0, n, m), rng.integers(0, n, m)
+        dst[: m // 5] = src[: m // 5]                   # self-loops
+        src = np.concatenate([src, src[: m // 3]])      # duplicates
+        dst = np.concatenate([dst, dst[: m // 3]])
+        g = _csr_from_directed(n, src, dst)
+        keys = np.unique(src * n + dst)
+        row_offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(keys // n, minlength=n), out=row_offsets[1:])
+        assert np.array_equal(g.col_indices, keys % n)
+        assert np.array_equal(g.row_offsets, row_offsets)
+        assert g.n_edges == (len(keys) - np.count_nonzero(keys // n == keys % n)) // 2
+
+
+def _csr(rows, n_edges, self_loops_added=False):
+    """Hand-built CsrGraph from per-row column lists, unchecked."""
+    offsets = np.concatenate([[0], np.cumsum([len(r) for r in rows])]).astype(np.int64)
+    cols = np.array([c for r in rows for c in r], dtype=np.int64)
+    return CsrGraph(len(rows), n_edges, offsets, cols, self_loops_added)
+
+
+def _validate_row_loop(g):
+    """Per-row loop and Python edge set: the original ``CsrGraph.validate``."""
+    offs, cols = g.row_offsets, g.col_indices
+    if offs.shape != (g.n_nodes + 1,) or offs[0] != 0:
+        raise ValueError("row_offsets must have length n_nodes+1 and start at 0")
+    if np.any(np.diff(offs) < 0):
+        raise ValueError("row_offsets must be non-decreasing")
+    expected_len = 2 * g.n_edges + (g.n_nodes if g.self_loops_added else 0)
+    if offs[-1] != len(cols) or len(cols) != expected_len:
+        raise ValueError("col_indices length inconsistent with edge count")
+    if len(cols) and (cols.min() < 0 or cols.max() >= g.n_nodes):
+        raise ValueError("column index out of range")
+    for u in range(g.n_nodes):
+        row = cols[offs[u] : offs[u + 1]]
+        if np.any(np.diff(row) <= 0):
+            raise ValueError(f"row {u} not strictly sorted / has duplicates")
+        if bool(np.any(row == u)) != g.self_loops_added:
+            raise ValueError(f"self-loop state of row {u} inconsistent with flag")
+    rows = np.repeat(np.arange(g.n_nodes, dtype=np.int64), g.degrees)
+    fwd = set(zip(rows.tolist(), cols.tolist()))
+    if any((v, u) not in fwd for u, v in fwd):
+        raise ValueError("adjacency is not symmetric")
+
+
+def _validate_message(validate, g):
+    try:
+        validate(g)
+    except ValueError as err:
+        return str(err)
+    return None
+
+
+@st.composite
+def _edited_csr(draw):
+    """A valid graph (optionally augmented) with up to two row edits."""
+    n = draw(st.integers(1, 7))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=15))
+    g = from_edge_array(n, np.array([p[0] for p in pairs], dtype=np.int64),
+                        np.array([p[1] for p in pairs], dtype=np.int64))
+    if draw(st.booleans()):
+        g = augment_self_loops(g)
+    rows = [list(g.neighbors(u)) for u in range(n)]
+    for _ in range(draw(st.integers(0, 2))):
+        u = draw(st.integers(0, n - 1))
+        op = draw(st.sampled_from(["set", "insert", "delete", "swap"]))
+        if op == "insert":
+            rows[u].insert(draw(st.integers(0, len(rows[u]))), draw(st.integers(0, n - 1)))
+        elif rows[u] and op == "delete":
+            rows[u].pop(draw(st.integers(0, len(rows[u]) - 1)))
+        elif rows[u] and op == "set":
+            rows[u][draw(st.integers(0, len(rows[u]) - 1))] = draw(st.integers(0, n - 1))
+        elif len(rows[u]) > 1 and op == "swap":
+            i = draw(st.integers(0, len(rows[u]) - 2))
+            rows[u][i], rows[u][i + 1] = rows[u][i + 1], rows[u][i]
+    n_edges = g.n_edges + draw(st.sampled_from([0, 0, 0, -1, 1]))
+    if draw(st.booleans()):  # keep the length check passing where it can
+        loops = n if g.self_loops_added else 0
+        n_edges = (sum(map(len, rows)) - loops) // 2
+    return _csr(rows, n_edges, g.self_loops_added)
+
+
+class TestValidate:
+    def test_unsorted_row(self):
+        g = _csr([[1], [2, 0], [1]], n_edges=2)
+        with pytest.raises(ValueError, match=r"^row 1 not strictly sorted / has duplicates$"):
+            g.validate()
+
+    def test_duplicate_column(self):
+        g = _csr([[1, 1], [0, 0], []], n_edges=2)
+        with pytest.raises(ValueError, match=r"^row 0 not strictly sorted / has duplicates$"):
+            g.validate()
+
+    def test_missing_self_loop(self):
+        g = _csr([[1], [0]], n_edges=0, self_loops_added=True)
+        with pytest.raises(ValueError, match=r"^self-loop state of row 0 inconsistent with flag$"):
+            g.validate()
+
+    def test_extra_self_loop(self):
+        g = _csr([[1], [0, 1], [2]], n_edges=2)
+        with pytest.raises(ValueError, match=r"^self-loop state of row 1 inconsistent with flag$"):
+            g.validate()
+
+    def test_asymmetric_edge(self):
+        g = _csr([[1, 2], [2], [0]], n_edges=2)
+        with pytest.raises(ValueError, match=r"^adjacency is not symmetric$"):
+            g.validate()
+
+    def test_lowest_offending_row_reported(self):
+        # row 0 carries a self-loop, row 2 is unsorted: row 0 comes first
+        g = _csr([[0, 1], [0, 2], [1, 0]], n_edges=3)
+        with pytest.raises(ValueError, match=r"^self-loop state of row 0 inconsistent"):
+            g.validate()
+        # both checks fail on row 0: sortedness is checked first
+        g = _csr([[1, 0], [0], [0]], n_edges=2)
+        with pytest.raises(ValueError, match=r"^row 0 not strictly sorted"):
+            g.validate()
+
+    @settings(max_examples=400, deadline=None)
+    @given(g=_edited_csr())
+    def test_matches_row_loop(self, g):
+        assert _validate_message(CsrGraph.validate, g) == _validate_message(_validate_row_loop, g)
 
 
 class TestRoundTrip:

@@ -1,4 +1,5 @@
 import json
+import logging
 from dataclasses import replace
 from pathlib import Path
 
@@ -105,18 +106,38 @@ class TestRunPipeline:
         # a second run must consume the existing cache without error
         run_pipeline(cfg)
 
-    def test_filtered_cache_rejects_changed_features(self, fixture_run_values, tmp_path):
+    def test_filtered_cache_rejects_changed_features(self, fixture_run_values, tmp_path, caplog):
         cfg = resolve_run_config(fixture_run_values)
         run_pipeline(cfg)
         x_new = np.repeat(np.eye(2)[::-1], 5, axis=0) * 3.0
         save_features(x_new, tmp_path / "features_new.txt")
         cfg = resolve_run_config({**fixture_run_values,
                                   "features": str(tmp_path / "features_new.txt")})
-        run_pipeline(cfg)
+        with caplog.at_level(logging.WARNING, logger="rwsl.pipeline"):
+            run_pipeline(cfg)
+        [record] = [r for r in caplog.records if r.name == "rwsl.pipeline"]
+        assert record.levelno == logging.WARNING
+        assert "CacheMismatchError" in record.getMessage()
+        assert "features_sha256" in record.getMessage()
+        assert "graph_hash" not in record.getMessage()
         g_aug = augment_self_loops(load_edge_list(cfg.edges, cfg.n_nodes))
         with np.load(Path(cfg.out) / "filtered.npz") as blob:
             cached = blob["values"]
         assert np.array_equal(cached, filter_exact(g_aug, x_new, cfg.filter))
+
+    def test_unreadable_filtered_cache_logged_and_recomputed(self, fixture_run_values, caplog):
+        cfg = resolve_run_config(fixture_run_values)
+        Path(cfg.out).mkdir(parents=True, exist_ok=True)
+        (Path(cfg.out) / "filtered.npz").write_bytes(b"not an npz archive")
+        with caplog.at_level(logging.WARNING, logger="rwsl.pipeline"):
+            run_pipeline(cfg)
+        [record] = [r for r in caplog.records if r.name == "rwsl.pipeline"]
+        assert "ValueError" in record.getMessage()
+        g_aug = augment_self_loops(load_edge_list(cfg.edges, cfg.n_nodes))
+        x = load_features(cfg.features)
+        assert np.array_equal(load_filtered_cache(Path(cfg.out) / "filtered.npz", g_aug,
+                                                  cfg.filter, features=x),
+                              filter_exact(g_aug, x, cfg.filter))
 
     def test_missing_labels_fails_in_load_stage(self, fixture_run_values):
         values = dict(fixture_run_values)
