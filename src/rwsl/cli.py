@@ -163,7 +163,7 @@ def _cmd_train(args) -> int:
                                       if cfg.filter_method == "exact" else None)
     encoder = decoder = None
     if args.ae_checkpoint:
-        models, _, _, _, _ = load_checkpoint(args.ae_checkpoint)
+        models, _, _ = load_checkpoint(args.ae_checkpoint)
         encoder, decoder = models["encoder"], models["decoder"]
     result = train_rwsl(g_plain, x_filtered, x_raw, cfg.k, cfg.train,
                         encoder=encoder, decoder=decoder)
@@ -175,8 +175,8 @@ def _cmd_train(args) -> int:
     save_checkpoint(out_dir / "checkpoint.npz",
                     {"encoder": result.encoder, "decoder": result.decoder,
                      "dnn": result.dnn},
-                    {"seed": cfg.train.seed, "k": cfg.k}, result.optimizer,
-                    result.rng_state, {"centroids": result.cluster.centroids})
+                    {"seed": cfg.train.seed, "k": cfg.k},
+                    {"centroids": result.cluster.centroids})
     if cfg.labels:
         report = evaluate_all(g_plain, result.assignments, load_labels(cfg.labels))
         write_metric_report_json(report, out_dir / "metrics.json")

@@ -3,6 +3,13 @@ inverted dropout, decoupled-weight-decay Adam, and the two training losses.
 
 All math is plain float64 numpy. Forward passes record everything backward
 needs in a ``ForwardCache``; gradients are exact (finite-difference tested).
+
+Passes and optimizer steps work in place: a forward adds the bias, applies
+the ReLU, the mix and the dropout scaling on the fresh matmul result, a
+backward applies its factors to the fresh ``g @ W.T``, and ``adamw_step``
+updates each parameter in fixed blocks with two reused scratch buffers.
+Each keeps the operation order of the plain out-of-place formulas, so every
+value is bit-identical to theirs (the tests keep those formulas as oracles).
 """
 
 from __future__ import annotations
@@ -14,6 +21,11 @@ import numpy as np
 
 # probability floor inside KL logs; avoids log(0) with negligible bias
 KL_FLOOR = 1e-12
+
+# elements per block of an AdamW update: one block of a parameter, its
+# gradient, both moments and the two scratch buffers (6 x 128 KiB) stay in
+# cache across the update's passes
+ADAMW_BLOCK = 1 << 14
 
 
 @dataclass
@@ -46,8 +58,10 @@ def init_mlp(layer_dims, rng: np.random.Generator) -> MlpModel:
     return MlpModel(dims, weights, biases)
 
 
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
+def relu(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """max(x, 0) with NaN mapped to 0.0: the same bits as
+    ``np.where(x > 0, x, 0.0)`` (-0.0 gives +0.0), without the mask."""
+    return np.fmax(x, 0.0, out=out)
 
 
 def row_softmax(x: np.ndarray) -> np.ndarray:
@@ -58,7 +72,7 @@ def row_softmax(x: np.ndarray) -> np.ndarray:
 @dataclass
 class ForwardCache:
     inputs: list            # matmul input per layer (post-dropout)
-    relu_masks: list        # s > 0 per hidden layer
+    hidden: list            # post-ReLU activations per hidden layer (> 0 where s > 0)
     masks: list             # dropout masks per hidden layer (None if unused)
     dropout: float
     training: bool
@@ -76,7 +90,8 @@ def mlp_forward(model: MlpModel, x: np.ndarray, dropout: float = 0.0,
     ``mix`` optionally blends constant per-layer arrays into hidden layers:
     h~ = (1 - mix_eps) * h + mix_eps * mix[l]. Dropout uses inverted
     scaling, applied only when ``training``; pass ``masks`` to replay a
-    recorded mask set (used by gradient checks).
+    recorded set of boolean keep-masks (used by gradient checks).
+    ``x`` and ``mix`` are only read.
     """
     if x.shape[1] != model.layer_dims[0]:
         raise ValueError(f"input dim {x.shape[1]} != layer dim {model.layer_dims[0]}")
@@ -87,30 +102,30 @@ def mlp_forward(model: MlpModel, x: np.ndarray, dropout: float = 0.0,
     if use_dropout and rng is None and masks is None:
         raise ValueError("training dropout needs an rng or recorded masks")
     a = x
-    hidden, inputs, relu_masks, mask_rec, mixed = [], [], [], [], []
+    hidden, inputs, mask_rec, mixed = [], [], [], []
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
         inputs.append(a)
-        s = a @ w + b
+        s = a @ w
+        s += b
         if i == n_layers - 1:
             out = s
             break
-        rmask = s > 0.0
-        h = np.where(rmask, s, 0.0)
-        relu_masks.append(rmask)
+        h = relu(s, out=s)
         hidden.append(h)
+        a = h
         if mix is not None:
-            h = (1.0 - mix_eps) * h + mix_eps * mix[i]
-            mixed.append(True)
-        else:
-            mixed.append(False)
+            a = np.multiply(h, 1.0 - mix_eps)
+            a += np.multiply(mix[i], mix_eps)
+        mixed.append(mix is not None)
         if use_dropout:
             m = masks[i] if masks is not None else (rng.random(h.shape) >= dropout)
             mask_rec.append(m)
-            a = h * (m / (1.0 - dropout))
+            # h * (m / (1 - p)) with a 0/1 mask, without the scaled-mask array
+            a = np.multiply(a, m, out=None if a is h else a)
+            a *= 1.0 / (1.0 - dropout)
         else:
             mask_rec.append(None)
-            a = h
-    cache = ForwardCache(inputs, relu_masks, mask_rec, dropout,
+    cache = ForwardCache(inputs, hidden, mask_rec, dropout,
                          use_dropout, mix_eps, mixed)
     return out, hidden, cache
 
@@ -128,7 +143,8 @@ def mlp_backward(model: MlpModel, cache: ForwardCache,
 
     ``output_gradient`` is the loss gradient w.r.t. the (linear) output.
     Mixed-in arrays are treated as constants, so their branch contributes
-    the (1 - mix_eps) factor only.
+    the (1 - mix_eps) factor only. Neither ``output_gradient`` nor the
+    cache is written.
     """
     n_layers = len(model.weights)
     if len(cache.inputs) != n_layers:
@@ -141,11 +157,13 @@ def mlp_backward(model: MlpModel, cache: ForwardCache,
         d_biases[i] = g.sum(axis=0)
         g = g @ model.weights[i].T
         if i > 0:
+            # factors in the forward's order, on the fresh product only
             if cache.training and cache.masks[i - 1] is not None:
-                g = g * (cache.masks[i - 1] / (1.0 - cache.dropout))
+                g *= cache.masks[i - 1]
+                g *= 1.0 / (1.0 - cache.dropout)
             if cache.mixed[i - 1]:
-                g = g * (1.0 - cache.mix_eps)
-            g = g * cache.relu_masks[i - 1]
+                g *= 1.0 - cache.mix_eps
+            g *= cache.hidden[i - 1] > 0.0
     return Grads(d_weights, d_biases, g)
 
 
@@ -172,20 +190,42 @@ def adamw_step(params, grads, state: AdamWState, lr: float,
 
     Decay multiplies each parameter by (1 - lr * weight_decay) separately
     from the moment-normalized gradient step, so zero gradients leave a
-    pure geometric decay trajectory.
+    pure geometric decay trajectory. Parameters and moments must be
+    C-contiguous (they are updated through flat views); gradients must
+    have their parameter's shape.
     """
+    for p, g, m, v in zip(params, grads, state.m, state.v):
+        if not (p.flags.c_contiguous and m.flags.c_contiguous and v.flags.c_contiguous):
+            raise ValueError("adamw_step needs C-contiguous parameters and moments")
+        if np.shape(g) != p.shape:
+            raise ValueError(f"gradient shape {np.shape(g)} != parameter shape {p.shape}")
     state.step += 1
     t = state.step
+    bias1 = 1.0 - beta1 ** t
+    bias2 = 1.0 - beta2 ** t
+    scratch_a = np.empty(ADAMW_BLOCK)
+    scratch_b = np.empty(ADAMW_BLOCK)
     for p, g, m, v in zip(params, grads, state.m, state.v):
-        if weight_decay:
-            p *= 1.0 - lr * weight_decay
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * (g * g)
-        m_hat = m / (1.0 - beta1 ** t)
-        v_hat = v / (1.0 - beta2 ** t)
-        p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        p, g, m, v = p.reshape(-1), np.ravel(g), m.reshape(-1), v.reshape(-1)
+        for lo in range(0, p.size, ADAMW_BLOCK):
+            hi = min(lo + ADAMW_BLOCK, p.size)
+            pb, gb, mb, vb = p[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi]
+            a, b = scratch_a[:hi - lo], scratch_b[:hi - lo]
+            if weight_decay:
+                pb *= 1.0 - lr * weight_decay
+            mb *= beta1
+            mb += np.multiply(gb, 1.0 - beta1, out=a)
+            vb *= beta2
+            np.multiply(gb, gb, out=a)
+            a *= 1.0 - beta2
+            vb += a
+            # p -= lr * (m / bias1) / (sqrt(v / bias2) + eps)
+            np.divide(mb, bias1, out=a)
+            a *= lr
+            np.sqrt(np.divide(vb, bias2, out=b), out=b)
+            b += eps
+            a /= b
+            pb -= a
 
 
 # ---------------------------------------------------------------------------

@@ -273,8 +273,7 @@ def run_pipeline(cfg: RunConfig, *, _data=None) -> PipelineOutcome:
             _stage("write", save_labels, result.assignments, out_dir / "assignments.txt")
             _stage("write", save_checkpoint, out_dir / "checkpoint.npz",
                    {"encoder": result.encoder, "decoder": result.decoder, "dnn": result.dnn},
-                   {"seed": seed, "k": cfg.k}, result.optimizer, result.rng_state,
-                   {"centroids": result.cluster.centroids})
+                   {"seed": seed, "k": cfg.k}, {"centroids": result.cluster.centroids})
             first_artifacts_written = True
 
     summary = _aggregate(reports)

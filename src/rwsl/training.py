@@ -17,7 +17,7 @@ while every batch in an iteration sees the same blend values.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -149,8 +149,6 @@ class TrainResult:
     encoder: MlpModel
     decoder: MlpModel
     dnn: MlpModel
-    optimizer: AdamWState = field(repr=False, default=None)
-    rng_state: dict = field(repr=False, default=None)
 
     @property
     def assignments(self) -> np.ndarray:
@@ -208,12 +206,15 @@ def train_rwsl(g: CsrGraph, x_filtered: np.ndarray, x_raw: Optional[np.ndarray],
     rng = np.random.default_rng([cfg.seed, 2])
     dnn = init_mlp((d, *cfg.architecture[:-1], n_clusters), rng)
 
-    # centroid init from (optionally subsampled) embeddings
+    # centroid init from (optionally subsampled) embeddings; unsampled, they
+    # are also the first target refresh's encoder outputs (same batches, and
+    # no step is taken in between)
+    z_first = None
     if cfg.kmeans_sample_cap and n > cfg.kmeans_sample_cap:
         sample = np.sort(rng.choice(n, size=cfg.kmeans_sample_cap, replace=False))
         emb = _forward_batched(encoder, ae_x[sample], cfg.batch_size)
     else:
-        emb = _forward_batched(encoder, ae_x, cfg.batch_size)
+        emb = z_first = _forward_batched(encoder, ae_x, cfg.batch_size)
     centroids, _ = kmeans(emb, n_clusters, seed=cfg.seed, max_iters=cfg.kmeans_max_iters)
     del emb
 
@@ -225,17 +226,18 @@ def train_rwsl(g: CsrGraph, x_filtered: np.ndarray, x_raw: Optional[np.ndarray],
     dead_events = 0
     history = np.zeros((cfg.n_epochs, 5))
 
-    def _p_z_from(model: MlpModel) -> np.ndarray:
+    def _p_z_from(model: MlpModel, z_all: Optional[np.ndarray]) -> np.ndarray:
         p = np.empty((n, n_clusters))
         for lo, hi in _batch_slices(n, cfg.batch_size):
-            z = mlp_forward(model, ae_x[lo:hi])[0]
+            z = mlp_forward(model, ae_x[lo:hi])[0] if z_all is None else z_all[lo:hi]
             p[lo:hi] = soft_assign(z, centroids, v)
         return p
 
     for it in range(cfg.n_epochs):
         snapshot = encoder.copy()
         if it % cfg.update_p == 0:
-            p_z_iter = _p_z_from(snapshot)
+            p_z_iter = _p_z_from(snapshot, z_first)
+            z_first = None
             dead_events += dead_cluster_count(p_z_iter)
             target = target_distribution(p_z_iter)
         order = rng.permutation(n)
@@ -280,11 +282,12 @@ def train_rwsl(g: CsrGraph, x_filtered: np.ndarray, x_raw: Optional[np.ndarray],
         history[it] = (it, *mean)
 
     # final evaluation pass (no dropout), batch-bounded
-    p_z = _p_z_from(encoder)
+    p_z = np.empty((n, n_clusters))
     p_h = np.empty((n, n_clusters))
     z_final = np.empty((n, cfg.architecture[-1])) if return_embeddings else None
     for lo, hi in _batch_slices(n, cfg.batch_size):
         z, mix_hidden, _ = mlp_forward(encoder, ae_x[lo:hi])
+        p_z[lo:hi] = soft_assign(z, centroids, v)
         if return_embeddings:
             z_final[lo:hi] = z
         logits, _, _ = mlp_forward(dnn, x_filtered[lo:hi], mix=mix_hidden, mix_eps=eps)
@@ -302,8 +305,6 @@ def train_rwsl(g: CsrGraph, x_filtered: np.ndarray, x_raw: Optional[np.ndarray],
         encoder=encoder,
         decoder=decoder,
         dnn=dnn,
-        optimizer=opt,
-        rng_state=rng.bit_generator.state,
     )
 
 
@@ -314,10 +315,8 @@ _CHECKPOINT_VERSION = 1
 
 
 def save_checkpoint(path, models: dict, meta: Optional[dict] = None,
-                    optimizer: Optional[AdamWState] = None,
-                    rng_state: Optional[dict] = None,
                     arrays: Optional[dict] = None) -> None:
-    """Versioned binary dump of model parameters plus optimizer/RNG state."""
+    """Versioned binary dump of model parameters, metadata and named arrays."""
     blob = {}
     spec = {"version": _CHECKPOINT_VERSION, "models": {}, "meta": meta or {}}
     for name, model in models.items():
@@ -325,13 +324,6 @@ def save_checkpoint(path, models: dict, meta: Optional[dict] = None,
         for i, (w, b) in enumerate(zip(model.weights, model.biases)):
             blob[f"{name}_w{i}"] = w
             blob[f"{name}_b{i}"] = b
-    if optimizer is not None:
-        spec["optimizer_step"] = optimizer.step
-        for i, (m, v) in enumerate(zip(optimizer.m, optimizer.v)):
-            blob[f"opt_m{i}"] = m
-            blob[f"opt_v{i}"] = v
-    if rng_state is not None:
-        spec["rng_state"] = rng_state
     for name, arr in (arrays or {}).items():
         blob[f"arr_{name}"] = arr
     blob["spec"] = np.array(json.dumps(spec))
@@ -339,7 +331,11 @@ def save_checkpoint(path, models: dict, meta: Optional[dict] = None,
 
 
 def load_checkpoint(path):
-    """Inverse of ``save_checkpoint``; returns (models, arrays, meta, optimizer, rng_state)."""
+    """Inverse of ``save_checkpoint``; returns (models, arrays, meta).
+
+    Older checkpoints also hold optimizer moments (``opt_*``) and an RNG
+    state; nothing resumes from them, so they are ignored.
+    """
     with np.load(path, allow_pickle=False) as data:
         spec = json.loads(str(data["spec"]))
         if spec["version"] != _CHECKPOINT_VERSION:
@@ -352,16 +348,8 @@ def load_checkpoint(path):
                 [data[f"{name}_w{i}"] for i in range(n_layers)],
                 [data[f"{name}_b{i}"] for i in range(n_layers)],
             )
-        optimizer = None
-        if "optimizer_step" in spec:
-            m, v, i = [], [], 0
-            while f"opt_m{i}" in data:
-                m.append(data[f"opt_m{i}"])
-                v.append(data[f"opt_v{i}"])
-                i += 1
-            optimizer = AdamWState(m=m, v=v, step=spec["optimizer_step"])
         arrays = {k[4:]: data[k] for k in data.files if k.startswith("arr_")}
-    return models, arrays, spec["meta"], optimizer, spec.get("rng_state")
+    return models, arrays, spec["meta"]
 
 
 def loss_history_to_csv(history: np.ndarray, path) -> None:

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rwsl.nn import (AdamWState, MlpModel, adamw_step, init_mlp, kl_divergence,
-                     mlp_backward, mlp_forward, mse_loss, row_softmax)
+from rwsl.nn import (ADAMW_BLOCK, AdamWState, MlpModel, adamw_step, init_mlp,
+                     kl_divergence, mlp_backward, mlp_forward, mse_loss, relu,
+                     row_softmax)
 
 
 def finite_diff_param_grads(loss_fn, params, h=1e-5):
@@ -279,3 +280,232 @@ class TestInit:
     def test_bad_dims(self):
         with pytest.raises(ValueError):
             init_mlp((4,), np.random.default_rng(0))
+
+
+# ---------------------------------------------------------------------------
+# Out-of-place reference formulas: the in-place passes and the blocked AdamW
+# must reproduce every bit of these.
+
+
+def ref_forward(model, x, dropout=0.0, training=False, rng=None, masks=None,
+                mix=None, mix_eps=0.0):
+    n_layers = len(model.weights)
+    use_dropout = training and dropout > 0.0
+    a = x
+    hidden, inputs, relu_masks, mask_rec, mixed = [], [], [], [], []
+    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+        inputs.append(a)
+        s = a @ w + b
+        if i == n_layers - 1:
+            out = s
+            break
+        rmask = s > 0.0
+        h = np.where(rmask, s, 0.0)
+        relu_masks.append(rmask)
+        hidden.append(h)
+        if mix is not None:
+            h = (1.0 - mix_eps) * h + mix_eps * mix[i]
+            mixed.append(True)
+        else:
+            mixed.append(False)
+        if use_dropout:
+            m = masks[i] if masks is not None else (rng.random(h.shape) >= dropout)
+            mask_rec.append(m)
+            a = h * (m / (1.0 - dropout))
+        else:
+            mask_rec.append(None)
+            a = h
+    cache = dict(inputs=inputs, relu_masks=relu_masks, masks=mask_rec, dropout=dropout,
+                 training=use_dropout, mix_eps=mix_eps, mixed=mixed)
+    return out, hidden, cache
+
+
+def ref_backward(model, cache, output_gradient):
+    n_layers = len(model.weights)
+    d_weights = [None] * n_layers
+    d_biases = [None] * n_layers
+    g = output_gradient
+    for i in range(n_layers - 1, -1, -1):
+        d_weights[i] = cache["inputs"][i].T @ g
+        d_biases[i] = g.sum(axis=0)
+        g = g @ model.weights[i].T
+        if i > 0:
+            if cache["training"] and cache["masks"][i - 1] is not None:
+                g = g * (cache["masks"][i - 1] / (1.0 - cache["dropout"]))
+            if cache["mixed"][i - 1]:
+                g = g * (1.0 - cache["mix_eps"])
+            g = g * cache["relu_masks"][i - 1]
+    return d_weights, d_biases, g
+
+
+def ref_adamw_step(params, grads, state, lr, weight_decay=0.0, beta1=0.9,
+                   beta2=0.999, eps=1e-8):
+    state.step += 1
+    t = state.step
+    for p, g, m, v in zip(params, grads, state.m, state.v):
+        if weight_decay:
+            p *= 1.0 - lr * weight_decay
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * (g * g)
+        m_hat = m / (1.0 - beta1 ** t)
+        v_hat = v / (1.0 - beta2 ** t)
+        p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+def bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
+def assert_same_bits(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape
+        assert np.array_equal(bits(a), bits(b))
+
+
+SPECIAL = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf,
+                    5e-324, -5e-324, 2.2250738585072e-308, -2.2250738585072e-308,
+                    1.5, -2.0])
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("dropout", [0.0, 0.3])
+    @pytest.mark.parametrize("use_mix", [False, True])
+    @pytest.mark.parametrize("replay", [False, True])
+    @given(rows=st.integers(1, 5),
+           widths=st.lists(st.integers(1, 6), min_size=2, max_size=4),
+           mix_eps=st.sampled_from([0.2, 0.35, 0.0, 1.0]),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=30)
+    def test_forward_backward_bits(self, dropout, use_mix, replay, rows, widths, mix_eps, seed):
+        rng = np.random.default_rng(seed)
+        model = init_mlp(widths, rng)
+        for b in model.biases:
+            b[:] = rng.standard_normal(b.shape)
+        x = rng.standard_normal((rows, widths[0]))
+        mix = ([rng.standard_normal((rows, w)) for w in widths[1:-1]] if use_mix else None)
+        eps = mix_eps if use_mix else 0.0
+        masks = ([rng.random((rows, w)) >= 0.5 for w in widths[1:-1]] if replay else None)
+        training = dropout > 0.0
+        out, hidden, cache = mlp_forward(model, x, dropout, training,
+                                         np.random.default_rng(seed + 1), masks, mix, eps)
+        r_out, r_hidden, r_cache = ref_forward(model, x, dropout, training,
+                                               np.random.default_rng(seed + 1), masks, mix, eps)
+        assert_same_bits([out], [r_out])
+        assert_same_bits(hidden, r_hidden)
+        assert_same_bits(cache.inputs, r_cache["inputs"])
+        for m, r_m in zip(cache.masks, r_cache["masks"]):
+            assert (m is None) == (r_m is None)
+            if m is not None:
+                assert np.array_equal(m, r_m)
+
+        d_out = rng.standard_normal(out.shape)
+        grads = mlp_backward(model, cache, d_out)
+        r_dw, r_db, r_din = ref_backward(model, r_cache, d_out)
+        assert_same_bits(grads.d_weights, r_dw)
+        assert_same_bits(grads.d_biases, r_db)
+        assert_same_bits([grads.d_input], [r_din])
+
+    @given(shapes=st.lists(st.sampled_from([
+               (1,), (7,), (ADAMW_BLOCK - 1,), (ADAMW_BLOCK,), (ADAMW_BLOCK + 1,),
+               (3, ADAMW_BLOCK // 3 + 5), (128, 128), (1, 5), (2 * ADAMW_BLOCK + 17,)]),
+               min_size=1, max_size=3),
+           weight_decay=st.sampled_from([0.0, 0.01]),
+           lr=st.sampled_from([1e-3, 0.1]),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40)
+    def test_adamw_bits_over_steps(self, shapes, weight_decay, lr, seed):
+        rng = np.random.default_rng(seed)
+        params = [rng.standard_normal(shape) for shape in shapes]
+        r_params = [p.copy() for p in params]
+        state = AdamWState.for_params(params)
+        r_state = AdamWState.for_params(r_params)
+        for _ in range(3):
+            grads = [rng.standard_normal(p.shape) * 10.0 ** rng.integers(-8, 3)
+                     for p in params]
+            adamw_step(params, grads, state, lr, weight_decay)
+            ref_adamw_step(r_params, grads, r_state, lr, weight_decay)
+            assert state.step == r_state.step
+            assert_same_bits(params, r_params)
+            assert_same_bits(state.m, r_state.m)
+            assert_same_bits(state.v, r_state.v)
+
+    def test_relu_special_values(self):
+        want = np.where(SPECIAL > 0, SPECIAL, 0.0)
+        assert_same_bits([relu(SPECIAL)], [want])
+        inplace = SPECIAL.copy()
+        assert relu(inplace, out=inplace) is inplace
+        assert_same_bits([inplace], [want])
+        # a larger array takes the vectorized loops, not just the scalar tail
+        big = np.tile(SPECIAL, 997)
+        assert_same_bits([relu(big)], [np.where(big > 0, big, 0.0)])
+
+    def test_forward_special_values(self):
+        # identity layers, so the special values reach the ReLU as pre-activations
+        model = MlpModel((1, 1, 1), [np.ones((1, 1)), np.ones((1, 1))],
+                         [np.array([-0.0]), np.array([0.0])])
+        x = SPECIAL[:, None]
+        _, hidden, cache = mlp_forward(model, x)
+        _, r_hidden, r_cache = ref_forward(model, x)
+        assert_same_bits(hidden, r_hidden)
+        g = np.array([1.0, -1.0, 2.0, -2.0, 3.0, -3.0, 4.0, -4.0, 5.0, -5.0, 6.0, -6.0])[:, None]
+        grads = mlp_backward(model, cache, g)
+        assert_same_bits([grads.d_input], [ref_backward(model, r_cache, g)[2]])
+
+
+class TestInPlaceSafety:
+    def _setup(self):
+        rng = np.random.default_rng(11)
+        model = init_mlp((4, 6, 5, 3), rng)
+        x = rng.standard_normal((7, 4))
+        mix = [rng.standard_normal((7, 6)), rng.standard_normal((7, 5))]
+        return rng, model, x, mix
+
+    def test_forward_leaves_inputs(self):
+        rng, model, x, mix = self._setup()
+        x0, mix0 = x.copy(), [m.copy() for m in mix]
+        for kwargs in (dict(), dict(mix=mix, mix_eps=0.3),
+                       dict(dropout=0.4, training=True, rng=rng),
+                       dict(dropout=0.4, training=True, rng=rng, mix=mix, mix_eps=0.3)):
+            mlp_forward(model, x, **kwargs)
+            assert_same_bits([x], [x0])
+            assert_same_bits(mix, mix0)
+
+    def test_backward_leaves_gradient_and_cache(self):
+        rng, model, x, mix = self._setup()
+        out, _, cache = mlp_forward(model, x, 0.4, True, rng, mix=mix, mix_eps=0.3)
+        snapshot = ([a.copy() for a in cache.inputs], [h.copy() for h in cache.hidden],
+                    [m.copy() for m in cache.masks])
+        d_out = rng.standard_normal(out.shape)
+        d_out0 = d_out.copy()
+        mlp_backward(model, cache, d_out)
+        assert_same_bits([d_out], [d_out0])
+        assert_same_bits(cache.inputs, snapshot[0])
+        assert_same_bits(cache.hidden, snapshot[1])
+        assert all(np.array_equal(m, m0) for m, m0 in zip(cache.masks, snapshot[2]))
+
+    def test_hidden_not_changed_by_later_calls(self):
+        rng, model, x, mix = self._setup()
+        out, hidden, cache = mlp_forward(model, x, 0.4, True, rng, mix=mix, mix_eps=0.3)
+        hidden0 = [h.copy() for h in hidden]
+        mlp_backward(model, cache, np.ones_like(out))
+        out2, _, cache2 = mlp_forward(model, x, 0.4, True, rng, mix=hidden, mix_eps=0.5)
+        mlp_backward(model, cache2, np.ones_like(out2))
+        assert_same_bits(hidden, hidden0)
+
+    def test_adamw_rejects_non_contiguous(self):
+        p = np.arange(12.0).reshape(3, 4).T
+        state = AdamWState.for_params([np.ones((4, 3))])
+        with pytest.raises(ValueError, match="C-contiguous"):
+            adamw_step([p], [np.ones((4, 3))], state, lr=0.1)
+        assert state.step == 0
+        assert np.array_equal(p, np.arange(12.0).reshape(3, 4).T)
+
+    def test_adamw_rejects_gradient_shape(self):
+        p = np.ones((2, 3))
+        state = AdamWState.for_params([p])
+        with pytest.raises(ValueError, match="gradient shape"):
+            adamw_step([p], [np.ones(3)], state, lr=0.1)
+        assert state.step == 0

@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -6,7 +7,8 @@ import pytest
 from rwsl.errors import DivergenceError
 from rwsl.filters import FilterConfig, filter_exact
 from rwsl.graph import augment_self_loops
-from rwsl.nn import mlp_forward, mse_loss
+from rwsl import training
+from rwsl.nn import AdamWState, init_mlp, mlp_forward, mse_loss
 from rwsl.training import (TrainConfig, load_checkpoint, loss_history_to_csv,
                            pretrain_autoencoder, save_checkpoint, train_rwsl)
 
@@ -167,17 +169,41 @@ class TestCheckpoint:
         res = train_rwsl(g, xf, x, 2, FAST)
         save_checkpoint(tmp_path / "ck.npz",
                         {"encoder": res.encoder, "decoder": res.decoder, "dnn": res.dnn},
-                        {"k": 2}, res.optimizer, res.rng_state,
-                        {"centroids": res.cluster.centroids})
-        models, arrays, meta, opt, rng_state = load_checkpoint(tmp_path / "ck.npz")
+                        {"k": 2}, {"centroids": res.cluster.centroids})
+        models, arrays, meta = load_checkpoint(tmp_path / "ck.npz")
         assert meta == {"k": 2}
         assert models["encoder"].layer_dims == res.encoder.layer_dims
         for a, b in zip(models["dnn"].weights, res.dnn.weights):
             assert np.array_equal(a, b)
         assert np.array_equal(arrays["centroids"], res.cluster.centroids)
-        assert opt.step == res.optimizer.step
-        assert np.array_equal(opt.m[0], res.optimizer.m[0])
-        assert rng_state["state"] == res.rng_state["state"]
+
+    def test_loads_checkpoint_with_optimizer_and_rng_state(self, tmp_path):
+        # earlier checkpoints also held the AdamW moments, the step and the RNG state
+        rng = np.random.default_rng(0)
+        model = init_mlp((3, 4, 2), rng)
+        opt = AdamWState.for_params(model.parameters())
+        spec = {"version": 1, "models": {"dnn": [3, 4, 2]}, "meta": {"k": 2},
+                "optimizer_step": 7, "rng_state": rng.bit_generator.state}
+        blob = {"spec": np.array(json.dumps(spec)), "arr_centroids": np.eye(2)}
+        for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+            blob[f"dnn_w{i}"] = w
+            blob[f"dnn_b{i}"] = b
+        for i, (m, v) in enumerate(zip(opt.m, opt.v)):
+            blob[f"opt_m{i}"] = m
+            blob[f"opt_v{i}"] = v
+        np.savez(tmp_path / "old.npz", **blob)
+        models, arrays, meta = load_checkpoint(tmp_path / "old.npz")
+        assert meta == {"k": 2}
+        assert set(arrays) == {"centroids"}
+        assert models["dnn"].layer_dims == (3, 4, 2)
+        for a, b in zip(models["dnn"].parameters(), model.parameters()):
+            assert np.array_equal(a, b)
+
+        save_checkpoint(tmp_path / "new.npz", models, meta, arrays)
+        with np.load(tmp_path / "new.npz") as data:
+            assert not [k for k in data.files if k.startswith("opt_")]
+            new_spec = json.loads(str(data["spec"]))
+        assert "optimizer_step" not in new_spec and "rng_state" not in new_spec
 
     def test_loss_csv(self, tmp_path):
         history = np.array([[0, 1.0, 2.0, 3.0, 4.0], [1, 0.5, 0.25, 0.5, 0.3]])
@@ -186,3 +212,35 @@ class TestCheckpoint:
         assert lines[0] == "iteration,L_MSE,L_H,L_Z,L_tot"
         assert lines[1].startswith("0,1,2,3,4")
         assert len(lines) == 3
+
+
+class TestPassCount:
+    @pytest.mark.parametrize("cap", [0, 7])
+    @pytest.mark.parametrize("n_epochs,update_p", [(0, 1), (1, 1), (3, 1), (5, 2)])
+    def test_forward_calls(self, clique_inputs, monkeypatch, cap, n_epochs, update_p):
+        g, xf, x, _ = clique_inputs
+        cfg = replace(FAST, n_epochs=n_epochs, update_p=update_p, batch_size=4,
+                      kmeans_sample_cap=cap, pretrain_n_epochs=0)
+        enc, dec = pretrain_autoencoder(xf, (xf.shape[1], *cfg.architecture), cfg)
+        calls = []
+        forward = training.mlp_forward
+
+        def counting_forward(*args, **kwargs):
+            calls.append(args[1].shape[0])
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(training, "mlp_forward", counting_forward)
+        train_rwsl(g, xf, x, 2, cfg, encoder=enc, decoder=dec)
+
+        n = g.n_nodes
+        batches = -(-n // cfg.batch_size)
+        subsampled = 0 < cap < n
+        init_batches = -(-cap // cfg.batch_size) if subsampled else batches
+        refreshes = -(-n_epochs // update_p)
+        # k-means init; full refresh passes; snapshot, encoder, decoder and DNN
+        # per co-train batch; one encoder and one DNN pass per final batch.
+        # Without subsampling the first refresh reuses the k-means embeddings.
+        want = init_batches + refreshes * batches + 4 * n_epochs * batches + 2 * batches
+        if not subsampled and refreshes:
+            want -= batches
+        assert len(calls) == want
