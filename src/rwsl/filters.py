@@ -4,7 +4,9 @@ The filtered attribute matrix is P = sum_{l=0..L} w_l * T^l * X with
 teleport weights w_l = alpha * (1 - alpha)^l and one-hop propagation
 T = D^(rrz-1) * A * D^(-rrz) on the self-loop-augmented graph. Two routes are
 provided: an exact sparse iteration (``filter_exact``, O(L*E*F), never
-materializes a dense operator) and an unbiased Monte-Carlo random-walk
+materializes a dense operator; it propagates ``FILTER_BLOCK`` feature columns
+at a time into one preallocated output, so beyond X and P its working set
+is O(n * FILTER_BLOCK) plus the operator) and an unbiased Monte-Carlo random-walk
 estimator (``filter_randomwalk``) for any rrz in [0, 1], whose error
 shrinks as O(1/sqrt(n_walks)). The estimator walks all nodes at once in
 chunks of at most ``WALK_CHUNK`` walks, each with its own RNG stream seeded by
@@ -28,6 +30,9 @@ from .graph import CsrGraph, as_features, graph_hash
 
 # Walks advanced together by ``filter_randomwalk``; bounds its temporaries.
 WALK_CHUNK = 2 ** 16
+
+# Feature columns propagated together by ``filter_exact``; bounds its temporaries.
+FILTER_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -106,19 +111,26 @@ def filter_exact(g: CsrGraph, x: np.ndarray, cfg: FilterConfig) -> np.ndarray:
     """Truncated propagation sum: P = sum_{l=0..hops} w_l * T^l * x.
 
     Iterates the sparse one-hop operator and accumulates weighted terms;
-    cost O(hops * E * F), deterministic.
+    cost O(hops * E * F), deterministic. Runs over blocks of ``FILTER_BLOCK``
+    columns, accumulating each block in a contiguous buffer: the sparse
+    product sums each column on its own in the same order, so the result is
+    bit-identical to propagating all columns at once.
     """
     x = as_features(x)
     if x.shape[0] != g.n_nodes:
         raise ValueError(f"feature rows {x.shape[0]} != n_nodes {g.n_nodes}")
     w = ppr_weights(cfg.alpha, cfg.hops)
     op = _propagation_matrix(g, cfg.rrz)
-    acc = w[0] * x
-    cur = x
-    for l in range(1, cfg.hops + 1):
-        cur = op @ cur
-        acc += w[l] * cur
-    return acc
+    out = np.empty_like(x)
+    for lo in range(0, x.shape[1], FILTER_BLOCK):
+        cur = np.ascontiguousarray(x[:, lo:lo + FILTER_BLOCK])
+        acc = w[0] * cur
+        scaled = np.empty_like(cur)
+        for l in range(1, cfg.hops + 1):
+            cur = op @ cur
+            acc += np.multiply(w[l], cur, out=scaled)
+        out[:, lo:lo + FILTER_BLOCK] = acc
+    return out
 
 
 def filter_randomwalk(g: CsrGraph, x: np.ndarray, cfg: FilterConfig,
@@ -198,8 +210,11 @@ def _features_sha256(x: np.ndarray) -> str:
     return h.hexdigest()
 
 
-def _cache_header(g: CsrGraph, cfg: FilterConfig, features: np.ndarray,
-                  method: str) -> dict:
+def filtered_cache_header(g: CsrGraph, cfg: FilterConfig, features: np.ndarray,
+                          method: str = "exact") -> dict:
+    """The header that pins a filtered-feature cache to its inputs. It hashes
+    ``features`` and the graph, so a caller that both loads and saves a cache
+    computes it once and passes it to both as ``header``."""
     return {
         "version": _CACHE_VERSION,
         "alpha": cfg.alpha,
@@ -214,26 +229,32 @@ def _cache_header(g: CsrGraph, cfg: FilterConfig, features: np.ndarray,
 
 
 def save_filtered_cache(path, values: np.ndarray, g: CsrGraph, cfg: FilterConfig,
-                        features: np.ndarray, method: str = "exact") -> None:
+                        features: np.ndarray, method: str = "exact", *,
+                        header: Optional[dict] = None) -> None:
     """Persist filtered features with a header that pins the producing config,
-    the graph and the unfiltered ``features``."""
-    header = _cache_header(g, cfg, features, method)
+    the graph and the unfiltered ``features``. ``header``, when given, must
+    be ``filtered_cache_header`` of the same arguments."""
+    if header is None:
+        header = filtered_cache_header(g, cfg, features, method)
     np.savez(path, values=as_features(values), header=np.array(json.dumps(header)))
 
 
 def load_filtered_cache(path, g: CsrGraph, cfg: FilterConfig,
-                        features: np.ndarray, method: str = "exact") -> np.ndarray:
+                        features: np.ndarray, method: str = "exact", *,
+                        header: Optional[dict] = None) -> np.ndarray:
     """Load a cache written by ``save_filtered_cache``.
 
     Raises ``CacheMismatchError`` when the stored header does not match the
     requested configuration or graph, or was not computed from exactly these
-    ``features`` (stale cache).
+    ``features`` (stale cache). ``header``, when given, must be
+    ``filtered_cache_header`` of the same arguments.
     """
     with np.load(path) as blob:
-        header = json.loads(str(blob["header"]))
+        stored = json.loads(str(blob["header"]))
         values = blob["values"]
-    expected = _cache_header(g, cfg, features, method)
-    diffs = {k: (header.get(k), v) for k, v in expected.items() if header.get(k) != v}
+    if header is None:
+        header = filtered_cache_header(g, cfg, features, method)
+    diffs = {k: (stored.get(k), v) for k, v in header.items() if stored.get(k) != v}
     if diffs:
         raise CacheMismatchError(f"stale filtered-feature cache: {diffs}")
     return as_features(values)

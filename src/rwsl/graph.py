@@ -207,8 +207,8 @@ def graph_hash(g: CsrGraph) -> str:
     """Stable content hash used by filtered-feature cache headers."""
     h = hashlib.sha256()
     h.update(f"{g.n_nodes}:{g.n_edges}:{int(g.self_loops_added)}".encode())
-    h.update(np.ascontiguousarray(g.row_offsets).tobytes())
-    h.update(np.ascontiguousarray(g.col_indices).tobytes())
+    h.update(memoryview(np.ascontiguousarray(g.row_offsets)).cast("B"))
+    h.update(memoryview(np.ascontiguousarray(g.col_indices)).cast("B"))
     return h.hexdigest()
 
 

@@ -22,7 +22,8 @@ import numpy as np
 
 from .errors import CacheMismatchError, PipelineStageError
 from .filters import (FilterConfig, filter_exact, filter_randomwalk,
-                      load_filtered_cache, save_filtered_cache)
+                      filtered_cache_header, load_filtered_cache,
+                      save_filtered_cache)
 from .graph import (CsrGraph, augment_self_loops, load_edge_list,
                     load_features, load_labels, rmat_generate, save_labels)
 from .metrics import MetricReport, evaluate_all
@@ -154,8 +155,11 @@ def run_config_to_flat(cfg: RunConfig) -> dict:
 
 
 def _sha256(path: Path) -> str:
+    """sha256 of a file, read in 1 MiB blocks so memory stays flat."""
     h = hashlib.sha256()
-    h.update(path.read_bytes())
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            h.update(block)
     return h.hexdigest()
 
 
@@ -213,16 +217,19 @@ def _filter_features(g_aug: CsrGraph, x_raw: np.ndarray, cfg: RunConfig,
                      seed: int, cache_path: Path | None):
     if cfg.filter_method == "randomwalk":
         return filter_randomwalk(g_aug, x_raw, cfg.filter, seed)
-    if cache_path is not None and cache_path.exists():
+    if cache_path is None:
+        return filter_exact(g_aug, x_raw, cfg.filter)
+    header = filtered_cache_header(g_aug, cfg.filter, x_raw)
+    if cache_path.exists():
         try:
-            return load_filtered_cache(cache_path, g_aug, cfg.filter, features=x_raw)
+            return load_filtered_cache(cache_path, g_aug, cfg.filter, features=x_raw,
+                                       header=header)
         except (CacheMismatchError, OSError, KeyError, ValueError) as exc:
             # stale or unreadable: recompute below
             logging.getLogger(__name__).warning(
                 "rejected filtered-feature cache %s: %s: %s", cache_path, type(exc).__name__, exc)
     xf = filter_exact(g_aug, x_raw, cfg.filter)
-    if cache_path is not None:
-        save_filtered_cache(cache_path, xf, g_aug, cfg.filter, features=x_raw)
+    save_filtered_cache(cache_path, xf, g_aug, cfg.filter, features=x_raw, header=header)
     return xf
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -10,6 +12,26 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("default")
+
+
+@pytest.fixture
+def traced_peak():
+    """Returns a function that runs ``fn(*args, **kwargs)`` and gives the peak
+    bytes tracemalloc saw allocated during the call, above what was live at
+    its start."""
+    def run(fn, *args, **kwargs):
+        was_tracing = tracemalloc.is_tracing()
+        if not was_tracing:
+            tracemalloc.start()
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        try:
+            fn(*args, **kwargs)
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+    return run
 
 
 @pytest.fixture

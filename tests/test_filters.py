@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rwsl.errors import CacheMismatchError
-from rwsl.filters import (WALK_CHUNK, FilterConfig, filter_exact, filter_randomwalk,
+from rwsl.filters import (FILTER_BLOCK, WALK_CHUNK, FilterConfig, _propagation_matrix,
+                          filter_exact, filter_randomwalk, filtered_cache_header,
                           load_filtered_cache, ppr_weights, propagate_step,
                           save_filtered_cache)
 from rwsl.graph import augment_self_loops, from_edge_array, rmat_generate
@@ -29,6 +30,23 @@ def dense_filter_oracle(g_aug, x, alpha, hops):
             power = power @ t
         out += w * (power @ x)
     return out
+
+
+def unblocked_filter_exact(g_aug, x, cfg):
+    """The all-columns-at-once propagation loop, kept as the blocked
+    ``filter_exact``'s bit-exact oracle."""
+    w = ppr_weights(cfg.alpha, cfg.hops)
+    op = _propagation_matrix(g_aug, cfg.rrz)
+    acc = w[0] * x
+    cur = x
+    for l in range(1, cfg.hops + 1):
+        cur = op @ cur
+        acc += w[l] * cur
+    return acc
+
+
+def bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
 
 
 class TestWeights:
@@ -145,6 +163,27 @@ class TestFilterExact:
         assert np.allclose(filter_exact(g, x, cfg), acc, atol=1e-14)
 
 
+    @pytest.mark.parametrize("n_features", [1, 15, 16, 17, 33, 64])
+    def test_blocked_matches_unblocked_bits(self, n_features):
+        assert FILTER_BLOCK == 16
+        g = augment_self_loops(rmat_generate(300, 5, seed=n_features))
+        x = np.random.default_rng(n_features).standard_normal((300, n_features))
+        for cfg in (FilterConfig(), FilterConfig(alpha=0.3, hops=5, rrz=0.0),
+                    FilterConfig(hops=0, rrz=1.0)):
+            assert np.array_equal(bits(filter_exact(g, x, cfg)),
+                                  bits(unblocked_filter_exact(g, x, cfg)))
+
+    def test_working_set_is_one_block(self, traced_peak):
+        g = augment_self_loops(rmat_generate(2000, 5, seed=1))
+        x = np.random.default_rng(0).standard_normal((2000, 64))
+        op = _propagation_matrix(g, FilterConfig().rrz)
+        op_bytes = op.data.nbytes + op.indices.nbytes + op.indptr.nbytes
+        peak = traced_peak(filter_exact, g, x, FilterConfig())
+        # the output plus four n x FILTER_BLOCK buffers reads 2.0x; propagating
+        # all columns at once holds three n x F arrays besides x (3.0x)
+        assert peak < 2.5 * x.nbytes + op_bytes
+
+
 class TestFilterRandomwalk:
     def test_lone_node_exact(self):
         out = filter_randomwalk(lone_node(), np.array([[4.0, 1.0]]),
@@ -253,3 +292,16 @@ class TestCache:
         save_filtered_cache(tmp_path / "c.npz", np.zeros((3, 2)), g, FilterConfig(), features=x)
         with pytest.raises(CacheMismatchError):
             load_filtered_cache(tmp_path / "c.npz", other, FilterConfig(), features=x)
+
+    def test_precomputed_header(self, tmp_path):
+        g, x = path3(), np.eye(3)
+        header = filtered_cache_header(g, FilterConfig(), x)
+        save_filtered_cache(tmp_path / "c.npz", np.ones((3, 2)), g, FilterConfig(), x,
+                            header=header)
+        assert np.array_equal(load_filtered_cache(tmp_path / "c.npz", g, FilterConfig(), x),
+                              np.ones((3, 2)))
+        assert np.array_equal(load_filtered_cache(tmp_path / "c.npz", g, FilterConfig(), x,
+                                                  header=header), np.ones((3, 2)))
+        stale = filtered_cache_header(g, FilterConfig(), 2 * x)
+        with pytest.raises(CacheMismatchError, match="features_sha256"):
+            load_filtered_cache(tmp_path / "c.npz", g, FilterConfig(), x, header=stale)

@@ -1,3 +1,4 @@
+import hashlib
 import warnings
 
 import numpy as np
@@ -302,6 +303,21 @@ class TestAugment:
         ga = augment_self_loops(disjoint_cliques(1, 3))
         with pytest.raises(AlreadyAugmentedError):
             augment_self_loops(ga)
+
+    @pytest.mark.parametrize("make", [
+        lambda: from_edge_array(0, np.array([], np.int64), np.array([], np.int64)),
+        lambda: from_edge_array(4, np.array([], np.int64), np.array([], np.int64)),
+        lambda: disjoint_cliques(2, 4),
+        lambda: augment_self_loops(disjoint_cliques(1, 3)),
+        lambda: rmat_generate(500, 4, seed=2),
+    ])
+    def test_hash_pinned_to_byte_copy_formula(self, make):
+        g = make()
+        h = hashlib.sha256()
+        h.update(f"{g.n_nodes}:{g.n_edges}:{int(g.self_loops_added)}".encode())
+        h.update(np.ascontiguousarray(g.row_offsets).tobytes())
+        h.update(np.ascontiguousarray(g.col_indices).tobytes())
+        assert graph_hash(g) == h.hexdigest()
 
     def test_hash_changes_with_augmentation(self):
         g = disjoint_cliques(1, 3)

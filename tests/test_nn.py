@@ -432,6 +432,24 @@ class TestAgainstReference:
             assert_same_bits(state.m, r_state.m)
             assert_same_bits(state.v, r_state.v)
 
+    def test_adamw_per_model_matches_joint_step(self):
+        rng = np.random.default_rng(3)
+        groups = [[rng.standard_normal(shape) for shape in shapes]
+                  for shapes in (((5, 3), (3,)), ((ADAMW_BLOCK + 1,),), ((4, 7), (7,), (2,)))]
+        joint = [p.copy() for group in groups for p in group]
+        joint_state = AdamWState.for_params(joint)
+        states = [AdamWState.for_params(group) for group in groups]
+        for _ in range(3):
+            grads = [[rng.standard_normal(p.shape) for p in group] for group in groups]
+            for group, group_grads, state in zip(groups, grads, states):
+                adamw_step(group, group_grads, state, 1e-3, 0.01)
+            adamw_step(joint, [g for group_grads in grads for g in group_grads],
+                       joint_state, 1e-3, 0.01)
+            assert [s.step for s in states] == [joint_state.step] * len(groups)
+            assert_same_bits([p for group in groups for p in group], joint)
+            assert_same_bits([m for s in states for m in s.m], joint_state.m)
+            assert_same_bits([v for s in states for v in s.v], joint_state.v)
+
     def test_relu_special_values(self):
         want = np.where(SPECIAL > 0, SPECIAL, 0.0)
         assert_same_bits([relu(SPECIAL)], [want])

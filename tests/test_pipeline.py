@@ -1,3 +1,4 @@
+import hashlib
 import json
 import logging
 from dataclasses import replace
@@ -8,10 +9,11 @@ import pytest
 
 from rwsl.cli import main as cli_main
 from rwsl.errors import PipelineStageError
-from rwsl.filters import filter_exact, load_filtered_cache
+from rwsl import filters
+from rwsl.filters import filter_exact, load_filtered_cache, save_filtered_cache
 from rwsl.graph import (augment_self_loops, load_edge_list, load_features,
                         save_features)
-from rwsl.pipeline import (bench_rows_to_csv, bench_scalability,
+from rwsl.pipeline import (_filter_features, _sha256, bench_rows_to_csv, bench_scalability,
                            load_config_file, parse_architecture,
                            parse_config_text, resolve_run_config,
                            run_config_to_flat, run_pipeline, spectral_run,
@@ -138,6 +140,30 @@ class TestRunPipeline:
         assert np.array_equal(load_filtered_cache(Path(cfg.out) / "filtered.npz", g_aug,
                                                   cfg.filter, features=x),
                               filter_exact(g_aug, x, cfg.filter))
+
+    def test_stale_cache_hashes_inputs_once(self, fixture_run_values, monkeypatch):
+        cfg = resolve_run_config(fixture_run_values)
+        g_aug = augment_self_loops(load_edge_list(cfg.edges, cfg.n_nodes))
+        x = load_features(cfg.features)
+        cache_path = Path(cfg.out) / "filtered.npz"
+        cache_path.parent.mkdir(parents=True)
+        save_filtered_cache(cache_path, x, g_aug, cfg.filter, 2 * x)
+        calls = []
+        for name in ("_features_sha256", "graph_hash"):
+            def counting(*args, _name=name, _fn=getattr(filters, name)):
+                calls.append(_name)
+                return _fn(*args)
+            monkeypatch.setattr(filters, name, counting)
+        xf = _filter_features(g_aug, x, cfg, cfg.train.seed, cache_path)
+        assert sorted(calls) == ["_features_sha256", "graph_hash"]
+        assert np.array_equal(xf, filter_exact(g_aug, x, cfg.filter))
+        assert np.array_equal(load_filtered_cache(cache_path, g_aug, cfg.filter, x), xf)
+
+    @pytest.mark.parametrize("size", [0, 1, (1 << 20) - 1, 1 << 20, 3 * (1 << 20) + 7])
+    def test_sha256_streams_same_digest(self, tmp_path, size):
+        path = tmp_path / "blob"
+        path.write_bytes(np.random.default_rng(size).bytes(size))
+        assert _sha256(path) == hashlib.sha256(path.read_bytes()).hexdigest()
 
     def test_missing_labels_fails_in_load_stage(self, fixture_run_values):
         values = dict(fixture_run_values)

@@ -1,4 +1,7 @@
+import ctypes
 import json
+import resource
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -6,7 +9,7 @@ import pytest
 
 from rwsl.errors import DivergenceError
 from rwsl.filters import FilterConfig, filter_exact
-from rwsl.graph import augment_self_loops
+from rwsl.graph import augment_self_loops, rmat_generate
 from rwsl import training
 from rwsl.nn import AdamWState, init_mlp, mlp_forward, mse_loss
 from rwsl.training import (TrainConfig, load_checkpoint, loss_history_to_csv,
@@ -244,3 +247,60 @@ class TestPassCount:
         if not subsampled and refreshes:
             want -= batches
         assert len(calls) == want
+
+
+def parameter_bytes(*models):
+    return sum(p.nbytes for m in models for p in m.parameters())
+
+
+class TestMemory:
+    """A step holds the parameters, the frozen snapshot, the AdamW moments,
+    one model's gradients and one batch's activations. On a
+    parameter-dominated shape, holding every model's gradients at once, or
+    the previous step's next to the current one, shows as a higher peak."""
+
+    ARCH = (256, 1024, 8)
+    N, D, K = 64, 16, 4
+
+    def inputs(self):
+        x = np.random.default_rng(0).standard_normal((self.N, self.D))
+        return rmat_generate(self.N, 4, seed=1), x
+
+    def test_cotrain_peak(self, traced_peak):
+        g, x = self.inputs()
+        cfg = TrainConfig(architecture=self.ARCH, batch_size=32, n_epochs=2,
+                          pretrain_n_epochs=0)
+        enc, dec = pretrain_autoencoder(x, (self.D, *self.ARCH), cfg)
+        dnn = init_mlp((self.D, *self.ARCH[:-1], self.K), np.random.default_rng(0))
+        peak = traced_peak(train_rwsl, g, x, None, self.K, cfg, encoder=enc, decoder=dec)
+        # parameters 1 + snapshot 0.33 + moments 2 + one model's gradients
+        # reads 3.4x; all three models' gradients plus the last step's, 5.1x
+        assert peak < 4.0 * parameter_bytes(enc, dec, dnn)
+
+    def test_pretrain_peak(self, traced_peak):
+        _, x = self.inputs()
+        dims = (self.D, *self.ARCH)
+        cfg = TrainConfig(architecture=self.ARCH, batch_size=32, pretrain_n_epochs=2)
+        ae_bytes = parameter_bytes(*pretrain_autoencoder(x, dims, replace(cfg, pretrain_n_epochs=0)))
+        peak = traced_peak(pretrain_autoencoder, x, dims, cfg)
+        # one model's gradients at a time reads 3.9x; both at once plus the
+        # last step's, 5.4x
+        assert peak < 4.5 * ae_bytes
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux")
+                        or not hasattr(ctypes.CDLL(None), "mallopt"),
+                        reason="glibc mallopt only")
+    def test_freed_step_memory_reused_without_page_faults(self):
+        # 3 MiB: large enough for glibc's default to map and unmap it on every
+        # allocation, below numpy's huge-page advice threshold (4 MiB)
+        training._retain_freed_heap()
+
+        def step():
+            return np.ones(3 << 17).sum()
+
+        step()
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(4):
+            step()
+        # faulting the array in again costs 768 4-KiB pages per step
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 200
