@@ -16,8 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import PipelineStageError
-from .filters import save_filtered_cache
+from .errors import CacheMismatchError, PipelineStageError
+from .filters import load_filtered_cache, save_filtered_cache
 from .graph import (augment_self_loops, load_edge_list, load_features,
                     load_labels, save_features, save_labels)
 from .metrics import evaluate_all
@@ -121,7 +121,7 @@ def _cmd_filter(args) -> int:
     x = load_features(cfg.features)
     xf = _filter_features(g, x, cfg, cfg.train.seed, None)
     save_filtered_cache(out_dir / "filtered.npz", xf, g, cfg.filter,
-                        method=cfg.filter_method, features=x)
+                        method=cfg.filter_method, features=x, seed=cfg.train.seed)
     if args.text:
         save_features(xf, out_dir / "filtered.txt")
     print(f"filtered {xf.shape[0]}x{xf.shape[1]} -> {out_dir / 'filtered.npz'}")
@@ -155,8 +155,14 @@ def _cmd_train(args) -> int:
     g_plain = load_edge_list(cfg.edges, cfg.n_nodes)
     g_aug = augment_self_loops(g_plain)
     x_raw = load_features(cfg.features)
-    if args.filtered:
-        x_filtered = _matrix_from(args.filtered)
+    if args.filtered and str(args.filtered).endswith(".npz"):
+        try:
+            x_filtered = load_filtered_cache(args.filtered, g_aug, cfg.filter, x_raw,
+                                             cfg.filter_method, seed=cfg.train.seed)
+        except (CacheMismatchError, OSError, KeyError, ValueError) as exc:
+            raise PipelineStageError("load", exc) from exc
+    elif args.filtered:
+        x_filtered = load_features(args.filtered)
     else:
         x_filtered = _filter_features(g_aug, x_raw, cfg, cfg.train.seed,
                                       out_dir / "filtered.npz"
@@ -275,7 +281,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="co-train and write assignments")
     common(p)
     p.add_argument("--filtered", type=str, default=None,
-                   help="precomputed filtered features (.npz cache or text matrix)")
+                   help="precomputed filtered features: a .npz cache, checked "
+                        "against this run's graph, features and filter options, "
+                        "or a text matrix")
     p.add_argument("--ae-checkpoint", type=str, default=None,
                    help="pretrained autoencoder checkpoint (skips pretraining)")
     p.add_argument("--export-distributions", action="store_true",

@@ -11,7 +11,10 @@ estimator (``filter_randomwalk``) for any rrz in [0, 1], whose error
 shrinks as O(1/sqrt(n_walks)). The estimator walks all nodes at once in
 chunks of at most ``WALK_CHUNK`` walks, each with its own RNG stream seeded by
 (seed, chunk index), so its memory stays O(WALK_CHUNK + n * F) and its
-output is bit-identical across runs for a given seed.
+output is bit-identical across runs for a given seed. Its cost is the walks:
+each step gathers in place into the walk positions, and each chunk's
+endpoints are counted by one sort of int64 (walk source, endpoint) keys,
+which stay below 2^47 (2^16 rows times n < 2^31 columns).
 """
 
 from __future__ import annotations
@@ -147,8 +150,11 @@ def filter_randomwalk(g: CsrGraph, x: np.ndarray, cfg: FilterConfig,
 
     All nodes walk together in chunks of at most ``WALK_CHUNK`` walks: a chunk
     holds whole nodes, or one node's walks split into near-equal parts when
-    the budget exceeds a chunk. Each chunk's endpoints are folded into a
-    sparse (chunk nodes x n) count matrix and dropped, so temporaries stay
+    the budget exceeds a chunk. A step gathers the moving walks' degrees and
+    row offsets with ``take`` and writes the next positions straight into
+    the walk array. Each chunk's endpoints are then folded into a sparse
+    (chunk nodes x n) count matrix by sorting the keys src * n + endpoint
+    (below 2^47) and counting runs, and dropped, so temporaries stay
     O(WALK_CHUNK + n * F) whatever the budget. Chunk c draws from an RNG
     stream seeded by (seed, c), so the result is bit-identical across runs
     for a given seed.
@@ -162,7 +168,8 @@ def filter_randomwalk(g: CsrGraph, x: np.ndarray, cfg: FilterConfig,
     deg = g.degrees.astype(np.float64)
     deg_pow = deg ** cfg.rrz
     x_scaled = x / deg_pow[:, None]
-    offs, cols = g.row_offsets, g.col_indices
+    # the walk positions are intp, which ``take(..., out=)`` needs of cols too
+    offs, cols = (a.astype(np.intp, copy=False) for a in (g.row_offsets, g.col_indices))
     n_walks = cfg.effective_n_walks
     parts = -(-n_walks // WALK_CHUNK)
     base, extra = divmod(n_walks, parts)
@@ -187,13 +194,40 @@ def filter_randomwalk(g: CsrGraph, x: np.ndarray, cfg: FilterConfig,
             for first in starts:
                 active = pos[first:]
                 # floor(u * deg) < deg for every double u < 1: a uniform neighbor
-                picks = (rng.random(len(active)) * deg[active]).astype(np.int64)
-                pos[first:] = cols[offs[active] + picks]
-            # duplicate (row, col) pairs are summed into exact endpoint counts
-            walk_mix = sp.csr_matrix((np.ones(len(pos)), (src, pos)), shape=(hi - lo, n))
-            walk_mix.data /= n_walks
-            out[lo:hi] += walk_mix @ x_scaled
+                picks = rng.random(len(active))
+                picks *= deg.take(active)
+                nxt = offs.take(active)
+                nxt += picks.astype(np.int64)
+                cols.take(nxt, out=active)
+            out[lo:hi] += _endpoint_mix(src, pos, hi - lo, n, n_walks) @ x_scaled
     return deg_pow[:, None] * out
+
+
+def _endpoint_mix(src: np.ndarray, pos: np.ndarray, n_rows: int, n: int,
+                  n_walks: int) -> sp.csr_matrix:
+    """The (n_rows x n) matrix of endpoint counts / n_walks, in canonical CSR
+    form (sorted indices, no duplicates): the arrays scipy builds from the
+    (src, pos) pairs, summing duplicates, without its per-row index sort.
+
+    Sorting the keys src * n + pos groups each row's endpoints in column
+    order; a run of equal keys is one endpoint and its length the count. The
+    keys stay below n_rows * n < 2^47 (n_rows <= WALK_CHUNK, n < 2^31).
+    Consumes ``src``.
+    """
+    keys = src
+    keys *= n
+    keys += pos
+    keys.sort()
+    first = np.empty(len(keys), dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    run_starts = np.flatnonzero(first)
+    counts = np.diff(run_starts, append=len(keys))
+    ends = keys[run_starts]
+    rows, indices = np.divmod(ends, n)
+    indptr = np.zeros(n_rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
+    return sp.csr_matrix((counts / n_walks, indices, indptr), shape=(n_rows, n))
 
 
 # ---------------------------------------------------------------------------
@@ -211,11 +245,15 @@ def _features_sha256(x: np.ndarray) -> str:
 
 
 def filtered_cache_header(g: CsrGraph, cfg: FilterConfig, features: np.ndarray,
-                          method: str = "exact") -> dict:
+                          method: str = "exact", *, seed: Optional[int] = None) -> dict:
     """The header that pins a filtered-feature cache to its inputs. It hashes
     ``features`` and the graph, so a caller that both loads and saves a cache
-    computes it once and passes it to both as ``header``."""
-    return {
+    computes it once and passes it to both as ``header``.
+
+    A random-walk estimate also depends on its ``seed``, which only that
+    method's header records (and requires); an exact header has no seed.
+    """
+    header = {
         "version": _CACHE_VERSION,
         "alpha": cfg.alpha,
         "hops": cfg.hops,
@@ -226,34 +264,40 @@ def filtered_cache_header(g: CsrGraph, cfg: FilterConfig, features: np.ndarray,
         "graph_hash": graph_hash(g),
         "features_sha256": _features_sha256(features),
     }
+    if method == "randomwalk":
+        if seed is None:
+            raise ValueError("a random-walk cache header needs the walk seed")
+        header["seed"] = int(seed)
+    return header
 
 
 def save_filtered_cache(path, values: np.ndarray, g: CsrGraph, cfg: FilterConfig,
                         features: np.ndarray, method: str = "exact", *,
-                        header: Optional[dict] = None) -> None:
+                        header: Optional[dict] = None, seed: Optional[int] = None) -> None:
     """Persist filtered features with a header that pins the producing config,
-    the graph and the unfiltered ``features``. ``header``, when given, must
-    be ``filtered_cache_header`` of the same arguments."""
+    the graph, the unfiltered ``features`` and, for a random-walk estimate,
+    the ``seed``. ``header``, when given, must be ``filtered_cache_header`` of
+    the same arguments."""
     if header is None:
-        header = filtered_cache_header(g, cfg, features, method)
+        header = filtered_cache_header(g, cfg, features, method, seed=seed)
     np.savez(path, values=as_features(values), header=np.array(json.dumps(header)))
 
 
 def load_filtered_cache(path, g: CsrGraph, cfg: FilterConfig,
                         features: np.ndarray, method: str = "exact", *,
-                        header: Optional[dict] = None) -> np.ndarray:
+                        header: Optional[dict] = None, seed: Optional[int] = None) -> np.ndarray:
     """Load a cache written by ``save_filtered_cache``.
 
     Raises ``CacheMismatchError`` when the stored header does not match the
-    requested configuration or graph, or was not computed from exactly these
-    ``features`` (stale cache). ``header``, when given, must be
-    ``filtered_cache_header`` of the same arguments.
+    requested configuration, graph or random-walk ``seed``, or was not
+    computed from exactly these ``features`` (stale cache). ``header``, when
+    given, must be ``filtered_cache_header`` of the same arguments.
     """
     with np.load(path) as blob:
         stored = json.loads(str(blob["header"]))
         values = blob["values"]
     if header is None:
-        header = filtered_cache_header(g, cfg, features, method)
+        header = filtered_cache_header(g, cfg, features, method, seed=seed)
     diffs = {k: (stored.get(k), v) for k, v in header.items() if stored.get(k) != v}
     if diffs:
         raise CacheMismatchError(f"stale filtered-feature cache: {diffs}")

@@ -314,4 +314,7 @@ def load_labels(path) -> np.ndarray:
 
 
 def save_labels(y: np.ndarray, path) -> None:
-    np.savetxt(path, as_labels(y), fmt="%d")
+    """One integer per line: the bytes of ``np.savetxt(path, y, fmt="%d")``,
+    written in one call instead of formatted row by row."""
+    with open(path, "w") as fh:
+        fh.write("".join(f"{v}\n" for v in as_labels(y).tolist()))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, strategies as st
 
 from rwsl.errors import CacheMismatchError
@@ -43,6 +44,42 @@ def unblocked_filter_exact(g_aug, x, cfg):
         cur = op @ cur
         acc += w[l] * cur
     return acc
+
+
+def reference_filter_randomwalk(g, x, cfg, seed):
+    """The fancy-index step and the scipy (row, col) -> CSR endpoint fold,
+    kept as the bit-exact oracle of ``filter_randomwalk``."""
+    n = g.n_nodes
+    deg = g.degrees.astype(np.float64)
+    deg_pow = deg ** cfg.rrz
+    x_scaled = x / deg_pow[:, None]
+    offs, cols = g.row_offsets, g.col_indices
+    n_walks = cfg.effective_n_walks
+    parts = -(-n_walks // WALK_CHUNK)
+    base, extra = divmod(n_walks, parts)
+    part_sizes = [base + 1] * extra + [base] * (parts - extra)
+    nodes_per_chunk = max(1, WALK_CHUNK // n_walks)
+    out = np.zeros_like(x)
+    chunk = 0
+    for lo in range(0, n, nodes_per_chunk):
+        hi = min(lo + nodes_per_chunk, n)
+        for size in part_sizes:
+            rng = np.random.default_rng([seed, chunk])
+            chunk += 1
+            lengths = rng.geometric(cfg.alpha, size=(hi - lo) * size) - 1
+            order = np.argsort(lengths.astype(np.min_scalar_type(lengths.max())),
+                               kind="stable")
+            starts = np.cumsum(np.bincount(lengths))[:-1]
+            src = order // size
+            pos = src + lo
+            for first in starts:
+                active = pos[first:]
+                picks = (rng.random(len(active)) * deg[active]).astype(np.int64)
+                pos[first:] = cols[offs[active] + picks]
+            walk_mix = sp.csr_matrix((np.ones(len(pos)), (src, pos)), shape=(hi - lo, n))
+            walk_mix.data /= n_walks
+            out[lo:hi] += walk_mix @ x_scaled
+    return deg_pow[:, None] * out
 
 
 def bits(a):
@@ -184,7 +221,29 @@ class TestFilterExact:
         assert peak < 2.5 * x.nbytes + op_bytes
 
 
+ORACLE_GRAPHS = {
+    "rmat": lambda: augment_self_loops(rmat_generate(16, 4, seed=5)),
+    "self-loops-only": lambda: augment_self_loops(
+        from_edge_array(5, np.array([], dtype=np.int64), np.array([], dtype=np.int64))),
+    "isolated-nodes": lambda: augment_self_loops(
+        from_edge_array(8, np.array([0, 1, 2, 0]), np.array([1, 2, 3, 3]))),
+}
+
+
 class TestFilterRandomwalk:
+    @pytest.mark.parametrize("graph", sorted(ORACLE_GRAPHS))
+    @pytest.mark.parametrize("n_walks", [1, 7, 1000, WALK_CHUNK - 1, WALK_CHUNK,
+                                         WALK_CHUNK + 1, 100_000])
+    def test_matches_reference_bits(self, graph, n_walks):
+        g = ORACLE_GRAPHS[graph]()
+        x = np.random.default_rng(n_walks).standard_normal((g.n_nodes, 3))
+        for rrz in (0.0, 0.5, 1.0):
+            cfg = FilterConfig(alpha=0.2, rrz=rrz, n_walks=n_walks)
+            for seed in (0, 1):
+                assert np.array_equal(bits(filter_randomwalk(g, x, cfg, seed)),
+                                      bits(reference_filter_randomwalk(g, x, cfg, seed))), \
+                    (rrz, seed)
+
     def test_lone_node_exact(self):
         out = filter_randomwalk(lone_node(), np.array([[4.0, 1.0]]),
                                 FilterConfig(alpha=0.3, rrz=0.5, n_walks=5), seed=0)
@@ -256,6 +315,24 @@ class TestFilterRandomwalk:
 
 
 class TestCache:
+    def test_randomwalk_seed_pinned(self, tmp_path):
+        g, x, cfg = path3(), np.eye(3), FilterConfig(n_walks=50)
+        values = np.random.default_rng(0).random((3, 2))
+        save_filtered_cache(tmp_path / "c.npz", values, g, cfg, x, "randomwalk", seed=0)
+        assert np.array_equal(load_filtered_cache(tmp_path / "c.npz", g, cfg, x,
+                                                  "randomwalk", seed=0), values)
+        with pytest.raises(CacheMismatchError, match="seed"):
+            load_filtered_cache(tmp_path / "c.npz", g, cfg, x, "randomwalk", seed=1)
+        with pytest.raises(ValueError, match="seed"):
+            filtered_cache_header(g, cfg, x, "randomwalk")
+
+    def test_exact_header_has_no_seed(self):
+        g, x = path3(), np.eye(3)
+        header = filtered_cache_header(g, FilterConfig(), x)
+        assert list(header) == ["version", "alpha", "hops", "rrz", "r_max", "n_walks",
+                                "method", "graph_hash", "features_sha256"]
+        assert filtered_cache_header(g, FilterConfig(), x, seed=3) == header
+
     def test_round_trip(self, tmp_path):
         g = path3()
         cfg = FilterConfig()

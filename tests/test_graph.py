@@ -384,6 +384,14 @@ class TestFeaturesAndLabels:
         save_labels(y, tmp_path / "l.txt")
         assert np.array_equal(load_labels(tmp_path / "l.txt"), y)
 
+    @pytest.mark.parametrize("y", [np.array([], dtype=np.int64), np.array([3]),
+                                   np.random.default_rng(0).integers(0, 50, 8000),
+                                   np.array([2 ** 40, 2 ** 62 + 5, 0, 7])])
+    def test_labels_bytes_match_savetxt(self, y, tmp_path):
+        save_labels(y, tmp_path / "l.txt")
+        np.savetxt(tmp_path / "ref.txt", y, fmt="%d")
+        assert (tmp_path / "l.txt").read_bytes() == (tmp_path / "ref.txt").read_bytes()
+
     def test_label_bounds(self):
         with pytest.raises(ValueError):
             as_labels([0, 3], n_clusters=3)

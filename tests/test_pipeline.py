@@ -357,6 +357,19 @@ class TestCli:
             sums = [sum(float(c) for c in line.split(",")) for line in lines[1:]]
             assert all(abs(s - 1.0) < 1e-9 for s in sums)
 
+    def test_train_filtered_cache_checked(self, fixture_run_values, tmp_path, capsys):
+        def flags(values):
+            return [a for k, v in values.items() for a in (f"--{k.replace('_', '-')}", str(v))]
+        assert cli_main(["filter", *flags(fixture_run_values)]) == 0
+        cache = str(Path(fixture_run_values["out"]) / "filtered.npz")
+        other = tmp_path / "other_features.txt"
+        save_features(2 * load_features(fixture_run_values["features"]), other)
+        values = {**fixture_run_values, "features": str(other), "out": str(tmp_path / "t")}
+        assert cli_main(["train", "--filtered", cache, *flags(values)]) == 3
+        assert "features_sha256" in capsys.readouterr().err
+        values = {**fixture_run_values, "out": str(tmp_path / "t2")}
+        assert cli_main(["train", "--filtered", cache, *flags(values)]) == 0
+
     def test_load_stage_exit_code(self, fixture_run_values, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("nonsense here\n")
