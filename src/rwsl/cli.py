@@ -12,75 +12,34 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import MISSING
 from pathlib import Path
 
 import numpy as np
 
-from .errors import CacheMismatchError, PipelineStageError
-from .filters import load_filtered_cache, save_filtered_cache
+from .errors import PipelineStageError, run_stage
+from .filters import save_filtered_cache
 from .graph import (augment_self_loops, load_edge_list, load_features,
-                    load_labels, save_features, save_labels)
+                    load_labels, save_features)
 from .metrics import evaluate_all
-from .pipeline import (_filter_features, bench_rows_to_csv, bench_scalability,
-                       load_config_file, resolve_run_config, run_pipeline,
-                       spectral_run, sweep_alpha, sweep_epsilon,
+from .pipeline import (bench_fit_lines, bench_rows_to_csv, bench_scalability,
+                       config_fields, filter_features, load_config_file,
+                       resolve_run_config, run_pipeline, spectral_run,
+                       split_config, sweep_alpha, sweep_epsilon,
                        write_distribution_csv, write_metric_report_csv,
                        write_metric_report_json)
-from .training import (load_checkpoint, loss_history_to_csv,
-                       pretrain_autoencoder, save_checkpoint, train_rwsl)
+from .training import pretrain_autoencoder, save_checkpoint
 
-_RUN_FLAGS = [
-    ("--edges", str, "edge-list file, one 'u v' pair per line"),
-    ("--n-nodes", int, "number of nodes in the graph"),
-    ("--features", str, "dense feature matrix file, one row per node"),
-    ("--labels", str, "ground-truth labels file, one integer per line"),
-    ("--k", int, "number of clusters"),
-    ("--out", str, "output directory"),
-    ("--repeat", int, "repetitions with consecutive seeds for mean/std"),
-    ("--filter-method", str, "exact | randomwalk"),
-]
-_FILTER_FLAGS = [
-    ("--alpha", float, "teleport probability in (0,1)"),
-    ("--hops", int, "propagation depth of the exact filter"),
-    ("--rrz", float, "degree-normalization exponent in [0,1]"),
-    ("--r-max", float, "walk budget per node = ceil(1/r_max)"),
-    ("--n-walks", int, "explicit walks per node for the estimator"),
-]
-_TRAIN_FLAGS = [
-    ("--learning-rate", float, "co-train learning rate"),
-    ("--pretrain-lr", float, "autoencoder pretraining learning rate"),
-    ("--n-epochs", int, "co-train iterations"),
-    ("--pretrain-n-epochs", int, "autoencoder pretraining epochs"),
-    ("--batch-size", int, "mini-batch size"),
-    ("--beta", float, "weight of the DNN KL loss"),
-    ("--gamma", float, "weight of the encoder KL loss"),
-    ("--epsilon", float, "blend weight of encoder activations in the DNN"),
-    ("--v", float, "Student-t degrees of freedom"),
-    ("--update-p", int, "target-distribution refresh period"),
-    ("--dropout-rate", float, "dropout rate in [0,1)"),
-    ("--weight-decay", float, "decoupled weight decay"),
-    ("--seed", int, "base RNG seed"),
-    ("--ae-input", str, "autoencoder input: filtered | raw"),
-    ("--architecture", str, "layer widths, e.g. 512-2048-32"),
-    ("--kmeans-sample-cap", int, "max embeddings used for centroid init (0 = all)"),
-]
-
-
-def _add_flags(parser: argparse.ArgumentParser, flags) -> None:
-    for name, typ, help_text in flags:
-        parser.add_argument(name, type=typ, default=None, help=help_text)
+# argparse type per config field annotation; other annotations take a string
+_FLAG_TYPES = {"int": int, "float": float, "Optional[int]": int}
 
 
 def _collect_config(args: argparse.Namespace) -> dict:
     """Layer config sources: file values first, explicit flags on top."""
-    values = {}
-    if getattr(args, "config", None):
-        values.update(load_config_file(args.config))
-    for name, _typ, _h in _RUN_FLAGS + _FILTER_FLAGS + _TRAIN_FLAGS:
-        key = name.lstrip("-").replace("-", "_")
-        val = getattr(args, key, None)
-        if val is not None:
-            values[key] = val
+    values = run_stage("config", load_config_file, args.config) if args.config else {}
+    for _section, f in config_fields():
+        if getattr(args, f.name) is not None:
+            values[f.name] = getattr(args, f.name)
     return values
 
 
@@ -112,18 +71,18 @@ def _int_list(text: str):
 def _cmd_filter(args) -> int:
     values = _collect_config(args)
     _require(values, ("edges", "n_nodes", "features", "out"))
-    values.setdefault("k", 2)
-    cfg = resolve_run_config({k: v for k, v in values.items()
-                              if k in _known_keys()})
-    out_dir = Path(cfg.out)
+    run, filter_cfg, train_cfg = run_stage("config", split_config, values)
+    method, seed = run.get("filter_method", "exact"), train_cfg.seed
+    out_dir = Path(run["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    g = augment_self_loops(load_edge_list(cfg.edges, cfg.n_nodes))
-    x = load_features(cfg.features)
-    xf = _filter_features(g, x, cfg, cfg.train.seed, None)
-    save_filtered_cache(out_dir / "filtered.npz", xf, g, cfg.filter,
-                        method=cfg.filter_method, features=x, seed=cfg.train.seed)
+    g = run_stage("load", load_edge_list, run["edges"], run["n_nodes"])
+    x = run_stage("load", load_features, run["features"])
+    g = run_stage("filter", augment_self_loops, g)
+    xf = run_stage("filter", filter_features, g, x, filter_cfg, method=method, seed=seed)
+    run_stage("write", save_filtered_cache, out_dir / "filtered.npz", xf, g, filter_cfg,
+              method=method, features=x, seed=seed)
     if args.text:
-        save_features(xf, out_dir / "filtered.txt")
+        run_stage("write", save_features, xf, out_dir / "filtered.txt")
     print(f"filtered {xf.shape[0]}x{xf.shape[1]} -> {out_dir / 'filtered.npz'}")
     return 0
 
@@ -131,17 +90,15 @@ def _cmd_filter(args) -> int:
 def _cmd_pretrain(args) -> int:
     values = _collect_config(args)
     _require(values, ("features", "out"))
-    cfg = resolve_run_config({k: v for k, v in values.items() if k in _known_keys()}
-                             | {"edges": values.get("edges", ""),
-                                "n_nodes": values.get("n_nodes", 0),
-                                "k": values.get("k", 2)})
-    x = _matrix_from(values["features"])
+    _run, _filter_cfg, train_cfg = run_stage("config", split_config, values)
+    x = run_stage("load", _matrix_from, values["features"])
     out_dir = Path(values["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    encoder, decoder = pretrain_autoencoder(x, (x.shape[1], *cfg.train.architecture),
-                                            cfg.train)
-    save_checkpoint(out_dir / "pretrain.npz", {"encoder": encoder, "decoder": decoder},
-                    {"phase": "pretrain", "seed": cfg.train.seed})
+    encoder, decoder = run_stage("pretrain", pretrain_autoencoder, x,
+                                 (x.shape[1], *train_cfg.architecture), train_cfg)
+    run_stage("write", save_checkpoint, out_dir / "pretrain.npz",
+              {"encoder": encoder, "decoder": decoder},
+              {"phase": "pretrain", "seed": train_cfg.seed})
     print(f"pretrained autoencoder -> {out_dir / 'pretrain.npz'}")
     return 0
 
@@ -149,46 +106,18 @@ def _cmd_pretrain(args) -> int:
 def _cmd_train(args) -> int:
     values = _collect_config(args)
     _require(values, ("edges", "n_nodes", "features", "k", "out"))
-    cfg = resolve_run_config({k: v for k, v in values.items() if k in _known_keys()})
-    out_dir = Path(cfg.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    g_plain = load_edge_list(cfg.edges, cfg.n_nodes)
-    g_aug = augment_self_loops(g_plain)
-    x_raw = load_features(cfg.features)
-    if args.filtered and str(args.filtered).endswith(".npz"):
-        try:
-            x_filtered = load_filtered_cache(args.filtered, g_aug, cfg.filter, x_raw,
-                                             cfg.filter_method, seed=cfg.train.seed)
-        except (CacheMismatchError, OSError, KeyError, ValueError) as exc:
-            raise PipelineStageError("load", exc) from exc
-    elif args.filtered:
-        x_filtered = load_features(args.filtered)
-    else:
-        x_filtered = _filter_features(g_aug, x_raw, cfg, cfg.train.seed,
-                                      out_dir / "filtered.npz"
-                                      if cfg.filter_method == "exact" else None)
-    encoder = decoder = None
-    if args.ae_checkpoint:
-        models, _, _ = load_checkpoint(args.ae_checkpoint)
-        encoder, decoder = models["encoder"], models["decoder"]
-    result = train_rwsl(g_plain, x_filtered, x_raw, cfg.k, cfg.train,
-                        encoder=encoder, decoder=decoder)
-    loss_history_to_csv(result.loss_history, out_dir / "loss.csv")
-    save_labels(result.assignments, out_dir / "assignments.txt")
+    cfg = run_stage("config", resolve_run_config, values)
+    if args.filtered and not args.filtered.endswith(".npz"):
+        raise PipelineStageError("config", ValueError(
+            f"--filtered takes a .npz filtered-feature cache, not {args.filtered!r}"))
+    outcome = run_pipeline(cfg, filtered=args.filtered, ae_checkpoint=args.ae_checkpoint)
     if args.export_distributions:
-        write_distribution_csv(result.p_h, out_dir / "p_h.csv")
-        write_distribution_csv(result.p_z, out_dir / "p_z.csv")
-    save_checkpoint(out_dir / "checkpoint.npz",
-                    {"encoder": result.encoder, "decoder": result.decoder,
-                     "dnn": result.dnn},
-                    {"seed": cfg.train.seed, "k": cfg.k},
-                    {"centroids": result.cluster.centroids})
-    if cfg.labels:
-        report = evaluate_all(g_plain, result.assignments, load_labels(cfg.labels))
-        write_metric_report_json(report, out_dir / "metrics.json")
-        write_metric_report_csv([report.as_dict()], out_dir / "metrics.csv")
-        print(json.dumps(report.as_dict()))
-    print(f"assignments -> {out_dir / 'assignments.txt'}")
+        for name in ("p_h", "p_z"):
+            run_stage("write", write_distribution_csv, getattr(outcome.result, name),
+                      outcome.out_dir / f"{name}.csv")
+    if outcome.summary is not None:
+        print(json.dumps(outcome.summary["mean"]))
+    print(f"assignments -> {outcome.out_dir / 'assignments.txt'}")
     return 0
 
 
@@ -210,7 +139,7 @@ def _cmd_eval(args) -> int:
 def _cmd_pipeline(args) -> int:
     values = _collect_config(args)
     _require(values, ("edges", "n_nodes", "features", "labels", "k", "out"))
-    cfg = resolve_run_config(values)
+    cfg = run_stage("config", resolve_run_config, values)
     outcome = run_pipeline(cfg)
     print(json.dumps(outcome.summary["mean"]))
     return 0
@@ -219,7 +148,7 @@ def _cmd_pipeline(args) -> int:
 def _cmd_sweep(args, which: str) -> int:
     values = _collect_config(args)
     _require(values, ("edges", "n_nodes", "features", "labels", "k", "out"))
-    cfg = resolve_run_config(values)
+    cfg = run_stage("config", resolve_run_config, values)
     sweep_values = _float_list(args.values)
     result = (sweep_epsilon if which == "epsilon" else sweep_alpha)(cfg, sweep_values)
     print(f"sweep CSV -> {result.csv_path}")
@@ -234,8 +163,8 @@ def _cmd_bench(args) -> int:
                              repeats=args.repeats, seed=args.seed or 0,
                              max_nodes=args.max_nodes)
     bench_rows_to_csv(rows, out_dir / "bench.csv")
-    for row in rows:
-        print(row)
+    for line in [*rows, *bench_fit_lines(rows)]:
+        print(line)
     return 0
 
 
@@ -252,12 +181,6 @@ def _cmd_spectral(args) -> int:
     return 0
 
 
-def _known_keys():
-    keys = {name.lstrip("-").replace("-", "_") for name, _t, _h in
-            _RUN_FLAGS + _FILTER_FLAGS + _TRAIN_FLAGS}
-    return keys
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rwsl",
@@ -265,11 +188,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "and a self-supervised co-trained autoencoder.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, flags=(_RUN_FLAGS, _FILTER_FLAGS, _TRAIN_FLAGS)):
+    def common(p):
         p.add_argument("--config", type=str, default=None,
                        help="config file: 'key = value' lines, JSON, or a manifest.json")
-        for group in flags:
-            _add_flags(p, group)
+        for _section, f in config_fields():
+            p.add_argument("--" + f.name.replace("_", "-"), type=_FLAG_TYPES.get(f.type, str),
+                           help=None if f.default is MISSING else f"default: {f.default}")
 
     p = sub.add_parser("filter", help="compute and cache filtered features")
     common(p)
@@ -282,8 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--filtered", type=str, default=None,
                    help="precomputed filtered features: a .npz cache, checked "
-                        "against this run's graph, features and filter options, "
-                        "or a text matrix")
+                        "against this run's graph, features, filter options and seed")
     p.add_argument("--ae-checkpoint", type=str, default=None,
                    help="pretrained autoencoder checkpoint (skips pretraining)")
     p.add_argument("--export-distributions", action="store_true",
@@ -316,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="desk-scale ceiling; raise to opt in to larger runs")
 
     p = sub.add_parser("spectral", help="eigenvalue report and claim checks")
-    common(p, flags=(_RUN_FLAGS, _FILTER_FLAGS))
+    common(p)
     p.add_argument("--alphas", type=str, default=None, help="comma-separated alphas")
     p.add_argument("--dense-limit", type=int, default=3000)
 

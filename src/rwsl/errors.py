@@ -61,3 +61,14 @@ class PipelineStageError(RuntimeError):
     @property
     def exit_code(self):
         return self.STAGE_EXIT_CODES.get(self.stage, 1)
+
+
+def run_stage(stage, fn, *args, **kwargs):
+    """Call ``fn``; any failure is raised as a ``PipelineStageError`` of
+    ``stage`` (one already tagged keeps its stage)."""
+    try:
+        return fn(*args, **kwargs)
+    except PipelineStageError:
+        raise
+    except Exception as exc:
+        raise PipelineStageError(stage, exc) from exc

@@ -3,7 +3,7 @@ parameter sweeps, the linear-scaling benchmark, and artifact/manifest IO.
 
 Every pipeline run writes a fixed artifact set under its output directory
 (metrics.json, metrics.csv, loss.csv, assignments.txt, checkpoint.npz,
-filtered.npz, manifest.json). The manifest embeds the fully resolved
+filtered.npz, manifest.json; the metric files need labels). The manifest embeds the fully resolved
 configuration and seeds, so re-running from it reproduces the metric values
 bit-exactly.
 """
@@ -15,12 +15,13 @@ import json
 import logging
 import time
 import tracemalloc
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 
-from .errors import CacheMismatchError, PipelineStageError
+from .errors import CacheMismatchError, PipelineStageError, run_stage
 from .filters import (FilterConfig, filter_exact, filter_randomwalk,
                       filtered_cache_header, load_filtered_cache,
                       save_filtered_cache)
@@ -28,8 +29,8 @@ from .graph import (CsrGraph, augment_self_loops, load_edge_list,
                     load_features, load_labels, rmat_generate, save_labels)
 from .metrics import MetricReport, evaluate_all
 from .spectral import spectral_report, verify_claim1, verify_claim2
-from .training import (TrainConfig, loss_history_to_csv, pretrain_autoencoder,
-                       save_checkpoint, train_rwsl)
+from .training import (TrainConfig, TrainResult, load_checkpoint, loss_history_to_csv,
+                       pretrain_autoencoder, save_checkpoint, train_rwsl)
 
 MANIFEST_VERSION = 1
 
@@ -58,19 +59,6 @@ class RunConfig:
 
 # ---------------------------------------------------------------------------
 # configuration files: flat "key = value" text or JSON (plain or manifest)
-
-_FILTER_KEYS = {"alpha": "alpha", "hops": "hops", "rrz": "rrz",
-                "r_max": "r_max", "n_walks": "n_walks"}
-_TRAIN_KEYS = {"learning_rate": "learning_rate", "pretrain_lr": "pretrain_lr",
-               "n_epochs": "n_epochs", "pretrain_n_epochs": "pretrain_n_epochs",
-               "batch_size": "batch_size", "beta": "beta", "gamma": "gamma_loss",
-               "epsilon": "epsilon_mix", "v": "v_dof", "update_p": "update_p",
-               "dropout_rate": "dropout_rate", "weight_decay": "weight_decay",
-               "seed": "seed", "ae_input": "ae_input",
-               "kmeans_sample_cap": "kmeans_sample_cap",
-               "kmeans_max_iters": "kmeans_max_iters"}
-_RUN_KEYS = ("edges", "n_nodes", "features", "labels", "k", "out", "repeat",
-             "filter_method")
 
 
 def _coerce(token: str):
@@ -119,33 +107,42 @@ def parse_architecture(value) -> tuple:
     return (int(value),)
 
 
-def resolve_run_config(values: dict) -> RunConfig:
-    """Build a RunConfig from a flat key dict (unknown keys are rejected)."""
+_SECTIONS = {"filter": FilterConfig, "train": TrainConfig}
+
+
+def config_fields() -> list:
+    """``(section, field)`` for every flat config key, the key being the
+    field's name: RunConfig's own fields (section ``None``), then
+    FilterConfig's (``"filter"``) and TrainConfig's (``"train"``)."""
+    own = [(None, f) for f in fields(RunConfig) if f.name not in _SECTIONS]
+    return own + [(name, f) for name, cls in _SECTIONS.items() for f in fields(cls)]
+
+
+def split_config(values: dict) -> tuple:
+    """Sort a flat key dict into RunConfig's own keys (a dict) and its
+    built FilterConfig and TrainConfig; unknown keys are rejected."""
     values = dict(values)
-    filter_kwargs = {}
-    for key, fname in _FILTER_KEYS.items():
-        if key in values:
-            filter_kwargs[fname] = values.pop(key)
-    train_kwargs = {}
-    for key, fname in _TRAIN_KEYS.items():
-        if key in values:
-            train_kwargs[fname] = values.pop(key)
     if "architecture" in values:
-        train_kwargs["architecture"] = parse_architecture(values.pop("architecture"))
-    run_kwargs = {k: values.pop(k) for k in _RUN_KEYS if k in values}
+        values["architecture"] = parse_architecture(values["architecture"])
+    parts = {None: {}, **{name: {} for name in _SECTIONS}}
+    for section, f in config_fields():
+        if f.name in values:
+            parts[section][f.name] = values.pop(f.name)
     if values:
         raise ValueError(f"unknown config keys: {sorted(values)}")
-    return RunConfig(filter=FilterConfig(**filter_kwargs),
-                     train=TrainConfig(**train_kwargs), **run_kwargs)
+    return parts[None], FilterConfig(**parts["filter"]), TrainConfig(**parts["train"])
+
+
+def resolve_run_config(values: dict) -> RunConfig:
+    """Build a RunConfig from a flat key dict (unknown keys are rejected)."""
+    run, filter_cfg, train_cfg = split_config(values)
+    return RunConfig(filter=filter_cfg, train=train_cfg, **run)
 
 
 def run_config_to_flat(cfg: RunConfig) -> dict:
     """Inverse of ``resolve_run_config``; used by the manifest."""
-    flat = {k: getattr(cfg, k) for k in _RUN_KEYS}
-    for key, fname in _FILTER_KEYS.items():
-        flat[key] = getattr(cfg.filter, fname)
-    for key, fname in _TRAIN_KEYS.items():
-        flat[key] = getattr(cfg.train, fname)
+    flat = {f.name: getattr(cfg if section is None else getattr(cfg, section), f.name)
+            for section, f in config_fields()}
     flat["architecture"] = "-".join(str(d) for d in cfg.train.architecture)
     return flat
 
@@ -198,101 +195,123 @@ def write_distribution_csv(matrix: np.ndarray, path) -> None:
 
 @dataclass
 class PipelineOutcome:
-    summary: dict                  # aggregate mean/std block
+    summary: dict | None           # aggregate mean/std block; None without labels
     reports: list                  # per-seed MetricReport
     seeds: list
     out_dir: Path
+    result: TrainResult            # the first seed's co-train outputs
 
 
-def _stage(stage: str, fn, *args, **kwargs):
-    try:
-        return fn(*args, **kwargs)
-    except PipelineStageError:
-        raise
-    except Exception as exc:
-        raise PipelineStageError(stage, exc) from exc
+def filter_features(g_aug: CsrGraph, x_raw: np.ndarray, cfg: FilterConfig, *,
+                    method: str = "exact", seed: int = 0,
+                    cache_path: Path | None = None) -> np.ndarray:
+    """Filter ``x_raw`` on the self-loop-augmented graph with ``method``.
 
-
-def _filter_features(g_aug: CsrGraph, x_raw: np.ndarray, cfg: RunConfig,
-                     seed: int, cache_path: Path | None):
-    if cfg.filter_method == "randomwalk":
-        return filter_randomwalk(g_aug, x_raw, cfg.filter, seed)
+    With a ``cache_path`` the exact filter reuses the cache written there
+    when its header matches these inputs, and otherwise recomputes and
+    rewrites it (logging why a stale or unreadable cache was rejected).
+    """
+    if method == "randomwalk":
+        return filter_randomwalk(g_aug, x_raw, cfg, seed)
+    if method != "exact":
+        raise ValueError(f"unknown filter_method {method!r}")
     if cache_path is None:
-        return filter_exact(g_aug, x_raw, cfg.filter)
-    header = filtered_cache_header(g_aug, cfg.filter, x_raw)
+        return filter_exact(g_aug, x_raw, cfg)
+    header = filtered_cache_header(g_aug, cfg, x_raw)
     if cache_path.exists():
         try:
-            return load_filtered_cache(cache_path, g_aug, cfg.filter, features=x_raw,
+            return load_filtered_cache(cache_path, g_aug, cfg, features=x_raw,
                                        header=header)
         except (CacheMismatchError, OSError, KeyError, ValueError) as exc:
             # stale or unreadable: recompute below
             logging.getLogger(__name__).warning(
                 "rejected filtered-feature cache %s: %s: %s", cache_path, type(exc).__name__, exc)
-    xf = filter_exact(g_aug, x_raw, cfg.filter)
-    save_filtered_cache(cache_path, xf, g_aug, cfg.filter, features=x_raw, header=header)
+    xf = filter_exact(g_aug, x_raw, cfg)
+    save_filtered_cache(cache_path, xf, g_aug, cfg, features=x_raw, header=header)
     return xf
 
 
-def run_pipeline(cfg: RunConfig, *, _data=None) -> PipelineOutcome:
+def run_pipeline(cfg: RunConfig, *, filtered=None, ae_checkpoint=None,
+                 _data=None) -> PipelineOutcome:
     """Execute the full pipeline and write the artifact set.
 
     Repeats the pretrain/train/evaluate segment with seeds
     seed .. seed+repeat-1 and aggregates the metric reports. The top-level
-    loss/assignment/checkpoint artifacts come from the first seed. ``_data``
-    lets sweep drivers inject pre-loaded inputs.
+    loss/assignment/checkpoint artifacts come from the first seed. Without
+    labels, evaluation and the metric files are skipped.
+
+    ``filtered`` (a cache written by ``save_filtered_cache``, checked against
+    this run's graph, features, filter options and seed) replaces the filter
+    stage, and ``ae_checkpoint`` (a checkpoint holding an encoder and a
+    decoder) replaces pretraining; the manifest records the sha256 of each
+    under ``inputs``. ``_data`` lets the sweeps inject pre-loaded inputs.
     """
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     if _data is None:
-        g_plain = _stage("load", load_edge_list, cfg.edges, cfg.n_nodes)
-        x_raw = _stage("load", load_features, cfg.features)
-        labels = _stage("load", load_labels, cfg.labels) if cfg.labels else None
+        g_plain = run_stage("load", load_edge_list, cfg.edges, cfg.n_nodes)
+        x_raw = run_stage("load", load_features, cfg.features)
+        labels = run_stage("load", load_labels, cfg.labels) if cfg.labels else None
     else:
         g_plain, x_raw, labels = _data
-    if labels is None:
-        raise PipelineStageError("load", ValueError("pipeline evaluation needs a labels file"))
-    if x_raw.shape[0] != g_plain.n_nodes or len(labels) != g_plain.n_nodes:
+    if x_raw.shape[0] != g_plain.n_nodes or (labels is not None
+                                             and len(labels) != g_plain.n_nodes):
         raise PipelineStageError("load", ValueError("row counts disagree with n_nodes"))
 
-    g_aug = _stage("filter", augment_self_loops, g_plain)
-    cache_path = out_dir / "filtered.npz"
-    base_seed = cfg.train.seed
-    seeds = [base_seed + i for i in range(cfg.repeat)]
+    g_aug = run_stage("filter", augment_self_loops, g_plain)
+    x_filtered = autoencoder = None
+    inputs = {}
+    if filtered is not None:
+        x_filtered = run_stage("load", load_filtered_cache, filtered, g_aug, cfg.filter,
+                               x_raw, cfg.filter_method, seed=cfg.train.seed)
+        inputs["filtered"] = _sha256(Path(filtered))
+    if ae_checkpoint is not None:
+        models = run_stage("load", load_checkpoint, ae_checkpoint)[0]
+        autoencoder = run_stage("load", itemgetter("encoder", "decoder"), models)
+        inputs["ae_checkpoint"] = _sha256(Path(ae_checkpoint))
+    cache_path = out_dir / "filtered.npz" if cfg.filter_method == "exact" else None
+    seeds = [cfg.train.seed + i for i in range(cfg.repeat)]
 
     reports = []
-    first_artifacts_written = False
-    x_filtered = None
+    first = None
     for seed in seeds:
-        if x_filtered is None or cfg.filter_method == "randomwalk":
-            x_filtered = _stage("filter", _filter_features, g_aug, x_raw, cfg,
-                                seed, cache_path if cfg.filter_method == "exact" else None)
+        if x_filtered is None or (filtered is None and cfg.filter_method == "randomwalk"):
+            x_filtered = run_stage("filter", filter_features, g_aug, x_raw, cfg.filter,
+                                   method=cfg.filter_method, seed=seed, cache_path=cache_path)
         train_cfg = replace(cfg.train, seed=seed)
-        ae_x = x_filtered if train_cfg.ae_input == "filtered" else x_raw
-        enc_dims = (ae_x.shape[1], *train_cfg.architecture)
-        encoder, decoder = _stage("pretrain", pretrain_autoencoder, ae_x, enc_dims, train_cfg)
-        result = _stage("train", train_rwsl, g_plain, x_filtered, x_raw, cfg.k,
-                        train_cfg, encoder=encoder, decoder=decoder)
-        report = _stage("eval", evaluate_all, g_plain, result.assignments, labels)
-        reports.append(report)
-        if not first_artifacts_written:
-            _stage("write", loss_history_to_csv, result.loss_history, out_dir / "loss.csv")
-            _stage("write", save_labels, result.assignments, out_dir / "assignments.txt")
-            _stage("write", save_checkpoint, out_dir / "checkpoint.npz",
-                   {"encoder": result.encoder, "decoder": result.decoder, "dnn": result.dnn},
-                   {"seed": seed, "k": cfg.k}, {"centroids": result.cluster.centroids})
-            first_artifacts_written = True
+        if autoencoder is None:
+            ae_x = x_filtered if train_cfg.ae_input == "filtered" else x_raw
+            enc_dims = (ae_x.shape[1], *train_cfg.architecture)
+            encoder, decoder = run_stage("pretrain", pretrain_autoencoder, ae_x, enc_dims,
+                                         train_cfg)
+        else:
+            encoder, decoder = (model.copy() for model in autoencoder)
+        result = run_stage("train", train_rwsl, g_plain, x_filtered, x_raw, cfg.k,
+                           train_cfg, encoder=encoder, decoder=decoder)
+        if labels is not None:
+            reports.append(run_stage("eval", evaluate_all, g_plain, result.assignments,
+                                     labels))
+        if first is None:
+            first = result
+            run_stage("write", loss_history_to_csv, result.loss_history, out_dir / "loss.csv")
+            run_stage("write", save_labels, result.assignments, out_dir / "assignments.txt")
+            run_stage("write", save_checkpoint, out_dir / "checkpoint.npz",
+                      {"encoder": result.encoder, "decoder": result.decoder, "dnn": result.dnn},
+                      {"seed": seed, "k": cfg.k}, {"centroids": result.cluster.centroids})
 
-    summary = _aggregate(reports)
-    summary["per_seed"] = [{"seed": s} | r.as_dict() for s, r in zip(seeds, reports)]
-    _stage("write", Path(out_dir / "metrics.json").write_text,
-           json.dumps(summary, indent=2) + "\n")
-    _stage("write", write_metric_report_csv, [summary["mean"]], out_dir / "metrics.csv")
-    _stage("write", _write_manifest, cfg, seeds, out_dir)
-    return PipelineOutcome(summary, reports, seeds, out_dir)
+    summary = None
+    if reports:
+        summary = _aggregate(reports)
+        summary["per_seed"] = [{"seed": s} | r.as_dict() for s, r in zip(seeds, reports)]
+        run_stage("write", Path(out_dir / "metrics.json").write_text,
+                  json.dumps(summary, indent=2) + "\n")
+        run_stage("write", write_metric_report_csv, [summary["mean"]], out_dir / "metrics.csv")
+    run_stage("write", _write_manifest, cfg, seeds, out_dir, inputs)
+    return PipelineOutcome(summary, reports, seeds, out_dir, first)
 
 
-def _write_manifest(cfg: RunConfig, seeds: list, out_dir: Path) -> None:
+def _write_manifest(cfg: RunConfig, seeds: list, out_dir: Path, inputs: dict) -> None:
     artifact_names = ("metrics.json", "metrics.csv", "loss.csv", "assignments.txt",
                       "checkpoint.npz", "filtered.npz")
     artifacts = {name: _sha256(out_dir / name)
@@ -304,6 +323,8 @@ def _write_manifest(cfg: RunConfig, seeds: list, out_dir: Path) -> None:
         "seeds": seeds,
         "artifacts": artifacts,
     }
+    if inputs:
+        manifest["inputs"] = inputs
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 
@@ -322,15 +343,15 @@ class SweepResult:
 def _sweep(cfg: RunConfig, parameter: str, values, make_cfg) -> SweepResult:
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    g_plain = _stage("load", load_edge_list, cfg.edges, cfg.n_nodes)
-    x_raw = _stage("load", load_features, cfg.features)
-    labels = _stage("load", load_labels, cfg.labels) if cfg.labels else None
+    g_plain = run_stage("load", load_edge_list, cfg.edges, cfg.n_nodes)
+    x_raw = run_stage("load", load_features, cfg.features)
+    labels = run_stage("load", load_labels, cfg.labels) if cfg.labels else None
     summaries = []
     for value in values:
         sub = make_cfg(cfg, value)
         sub = replace(sub, out=str(out_dir / f"{parameter}_{value}"))
-        outcome = run_pipeline(sub, _data=(g_plain, x_raw, labels))
-        summaries.append(outcome.summary)
+        # keep only the summary: the outcome also holds that run's models
+        summaries.append(run_pipeline(sub, _data=(g_plain, x_raw, labels)).summary)
     csv_path = out_dir / f"sweep_{parameter}.csv"
     with open(csv_path, "w") as fh:
         fh.write(f"{parameter},metric,mean,std\n")
@@ -347,7 +368,7 @@ def sweep_epsilon(cfg: RunConfig, values) -> SweepResult:
         if not 0.0 <= v <= 1.0:
             raise ValueError(f"epsilon {v} outside [0, 1]")
     return _sweep(cfg, "epsilon", values,
-                  lambda c, v: replace(c, train=replace(c.train, epsilon_mix=v)))
+                  lambda c, v: replace(c, train=replace(c.train, epsilon=v)))
 
 
 def sweep_alpha(cfg: RunConfig, values) -> SweepResult:
@@ -450,6 +471,23 @@ def bench_rows_to_csv(rows: list, path) -> None:
         for r in rows:
             fh.write(f"{r['n_nodes']},{r['filter_s']:.6g},{r['train_s']:.6g},"
                      f"{r['total_s']:.6g},{r['train_peak_mb']:.6g},{r['status']}\n")
+
+
+def bench_fit_lines(rows: list) -> list:
+    """The scaling fits over the rows with status ok: the R^2 of a linear fit
+    of train_s against n, and the log-log slope of train_peak_mb against n.
+    Empty with fewer than two such rows."""
+    ok = [r for r in rows if r["status"] == "ok"]
+    if len(ok) < 2:
+        return []
+    n = np.array([r["n_nodes"] for r in ok], dtype=float)
+    t = np.array([r["train_s"] for r in ok])
+    resid = t - np.polyval(np.polyfit(n, t, 1), n)
+    ss_tot = float(((t - t.mean()) ** 2).sum())
+    r2 = 1.0 - float((resid ** 2).sum()) / ss_tot if ss_tot > 0 else 1.0
+    slope = np.polyfit(np.log(n), np.log([r["train_peak_mb"] for r in ok]), 1)[0]
+    return [f"train_s vs n: R^2 = {r2:.4f}",
+            f"train peak memory log-log slope = {slope:.3f} (sublinear < 1)"]
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ updates encoder, decoder and DNN on
     total = reconstruction + beta * KL(target || dnn) + gamma * KL(target || encoder)
 
 where the DNN's hidden layers blend in the snapshot encoder activations
-with weight ``epsilon_mix``. Snapshot activations are recomputed per batch
+with weight ``epsilon``. Snapshot activations are recomputed per batch
 from the frozen iteration-start parameters, so memory stays batch-bounded
 while every batch in an iteration sees the same blend values.
 
@@ -61,9 +61,9 @@ class TrainConfig:
     pretrain_n_epochs: int = 30
     batch_size: int = 256
     beta: float = 0.01
-    gamma_loss: float = 0.1
-    epsilon_mix: float = 0.2
-    v_dof: float = 1.0
+    gamma: float = 0.1
+    epsilon: float = 0.2
+    v: float = 1.0
     update_p: int = 1
     dropout_rate: float = 0.01
     weight_decay: float = 0.01
@@ -83,12 +83,12 @@ class TrainConfig:
             raise ValueError("epoch counts must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.beta < 0 or self.gamma_loss < 0:
+        if self.beta < 0 or self.gamma < 0:
             raise ValueError("loss weights must be >= 0")
-        if not 0.0 <= self.epsilon_mix <= 1.0:
-            raise ValueError("epsilon_mix must be in [0, 1]")
-        if self.v_dof <= 0:
-            raise ValueError("v_dof must be positive")
+        if not 0.0 <= self.epsilon <= 1.0:
+            raise ValueError("epsilon must be in [0, 1]")
+        if self.v <= 0:
+            raise ValueError("v must be positive")
         if self.update_p < 1:
             raise ValueError("update_p must be >= 1")
         if not 0.0 <= self.dropout_rate < 1.0:
@@ -194,7 +194,7 @@ def _cotrain_step(models: tuple, opts: list, snapshot: MlpModel,
                   t_b: np.ndarray, cfg: TrainConfig, rng: np.random.Generator) -> tuple:
     """One co-train mini-batch; returns (mse, kl_dnn, kl_enc, total)."""
     encoder, decoder, dnn = models
-    beta, gamma, eps, v = cfg.beta, cfg.gamma_loss, cfg.epsilon_mix, cfg.v_dof
+    beta, gamma, eps, v = cfg.beta, cfg.gamma, cfg.epsilon, cfg.v
 
     # frozen iteration-start activations for blending
     _, mix_hidden, _ = mlp_forward(snapshot, xa_b)
@@ -313,7 +313,7 @@ def train_rwsl(g: CsrGraph, x_filtered: np.ndarray, x_raw: Optional[np.ndarray],
     opts = [AdamWState.for_params(m.parameters()) for m in models]
     _retain_freed_heap()
 
-    eps, v = cfg.epsilon_mix, cfg.v_dof
+    eps, v = cfg.epsilon, cfg.v
     target = None
     dead_events = 0
     history = np.zeros((cfg.n_epochs, 5))

@@ -270,7 +270,7 @@ def test_criterion_09_cora_reproduction_band():
         for seed in range(5):
             cfg = TrainConfig(architecture=(512, 2048, 32), learning_rate=1e-4,
                               pretrain_lr=1e-4, n_epochs=100, pretrain_n_epochs=30,
-                              batch_size=256, beta=0.01, gamma_loss=0.1, v_dof=1.0,
+                              batch_size=256, beta=0.01, gamma=0.1, v=1.0,
                               update_p=1, dropout_rate=0.01, weight_decay=0.01,
                               seed=seed)
             result = train_rwsl(g, x_filtered, x_raw, 7, cfg, return_embeddings=False)

@@ -1,26 +1,43 @@
 import hashlib
 import json
 import logging
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rwsl.cli import main as cli_main
+from rwsl.cli import _collect_config, build_parser, main as cli_main
 from rwsl.errors import PipelineStageError
 from rwsl import filters
-from rwsl.filters import filter_exact, load_filtered_cache, save_filtered_cache
+from rwsl.filters import FilterConfig, filter_exact, load_filtered_cache, save_filtered_cache
 from rwsl.graph import (augment_self_loops, load_edge_list, load_features,
-                        save_features)
-from rwsl.pipeline import (_filter_features, _sha256, bench_rows_to_csv, bench_scalability,
+                        rmat_generate, save_edge_list, save_features, save_labels)
+from rwsl.pipeline import (_sha256, bench_rows_to_csv, bench_scalability, filter_features,
                            load_config_file, parse_architecture,
                            parse_config_text, resolve_run_config,
                            run_config_to_flat, run_pipeline, spectral_run,
                            sweep_alpha, sweep_epsilon)
+from rwsl.training import TrainConfig
 
 ARTIFACTS = ("metrics.json", "metrics.csv", "loss.csv", "assignments.txt",
              "checkpoint.npz", "filtered.npz", "manifest.json")
+
+
+# every flat config key (the manifest's key set), each away from its default
+NON_DEFAULT_CONFIG = {
+    "edges": "e.txt", "n_nodes": 7, "features": "f.txt", "k": 3, "out": "o",
+    "labels": "l.txt", "repeat": 2, "filter_method": "randomwalk",
+    "alpha": 0.3, "hops": 5, "rrz": 0.5, "r_max": 1e-3, "n_walks": 9,
+    "architecture": "16-4", "learning_rate": 0.02, "pretrain_lr": 0.03, "n_epochs": 4,
+    "pretrain_n_epochs": 6, "batch_size": 8, "beta": 0.2, "gamma": 0.3, "epsilon": 0.4,
+    "v": 2.0, "update_p": 3, "dropout_rate": 0.1, "weight_decay": 0.05, "seed": 11,
+    "ae_input": "raw", "kmeans_sample_cap": 50, "kmeans_max_iters": 7,
+}
+
+
+def _flags(values: dict) -> list:
+    return [a for k, v in values.items() for a in (f"--{k.replace('_', '-')}", str(v))]
 
 
 def load_sweep_validator():
@@ -52,6 +69,19 @@ class TestConfigParsing:
         flat = run_config_to_flat(cfg)
         cfg2 = resolve_run_config({k: v for k, v in flat.items() if v is not None})
         assert cfg2 == cfg
+
+    def test_every_config_field_round_trips(self):
+        cfg = resolve_run_config(NON_DEFAULT_CONFIG)
+        flat = run_config_to_flat(cfg)
+        assert len(flat) == 30 and set(flat) == set(NON_DEFAULT_CONFIG)
+        section_keys = [f.name for cls in (FilterConfig, TrainConfig) for f in fields(cls)]
+        assert set(section_keys) <= set(flat)
+        assert resolve_run_config(flat) == cfg
+        required = {k: NON_DEFAULT_CONFIG[k] for k in ("edges", "n_nodes", "features", "k", "out")}
+        defaults = run_config_to_flat(resolve_run_config(required))
+        assert [k for k in section_keys if flat[k] == defaults[k]] == []
+        args = build_parser().parse_args(["pipeline", *_flags(flat)])
+        assert resolve_run_config(_collect_config(args)) == cfg
 
     def test_unknown_key_rejected(self, fixture_run_values):
         with pytest.raises(ValueError, match="unknown config keys"):
@@ -154,7 +184,7 @@ class TestRunPipeline:
                 calls.append(_name)
                 return _fn(*args)
             monkeypatch.setattr(filters, name, counting)
-        xf = _filter_features(g_aug, x, cfg, cfg.train.seed, cache_path)
+        xf = filter_features(g_aug, x, cfg.filter, cache_path=cache_path)
         assert sorted(calls) == ["_features_sha256", "graph_hash"]
         assert np.array_equal(xf, filter_exact(g_aug, x, cfg.filter))
         assert np.array_equal(load_filtered_cache(cache_path, g_aug, cfg.filter, x), xf)
@@ -165,13 +195,22 @@ class TestRunPipeline:
         path.write_bytes(np.random.default_rng(size).bytes(size))
         assert _sha256(path) == hashlib.sha256(path.read_bytes()).hexdigest()
 
-    def test_missing_labels_fails_in_load_stage(self, fixture_run_values):
-        values = dict(fixture_run_values)
-        values["labels"] = ""
-        cfg = resolve_run_config(values)
+    def test_missing_labels_fails_in_load_stage(self, fixture_run_values, tmp_path):
+        cfg = resolve_run_config({**fixture_run_values,
+                                  "labels": str(tmp_path / "no_such_labels.txt")})
         with pytest.raises(PipelineStageError) as err:
             run_pipeline(cfg)
         assert err.value.stage == "load"
+
+    def test_no_labels_skips_evaluation(self, fixture_run_values):
+        cfg = resolve_run_config({**fixture_run_values, "labels": ""})
+        outcome = run_pipeline(cfg)
+        out = Path(cfg.out)
+        assert outcome.summary is None and outcome.reports == []
+        assert not (out / "metrics.json").exists() and not (out / "metrics.csv").exists()
+        artifacts = json.loads((out / "manifest.json").read_text())["artifacts"]
+        assert sorted(artifacts) == ["assignments.txt", "checkpoint.npz", "filtered.npz",
+                                     "loss.csv"]
 
     def test_bad_edge_file_tagged_load(self, fixture_run_values, tmp_path):
         bad = tmp_path / "bad_edges.txt"
@@ -337,11 +376,17 @@ class TestCli:
         assert report["accuracy"] == 1.0
 
     def test_bench_subcommand(self, tmp_path, capsys):
-        rc = cli_main(["bench", "--sizes", "200", "--edge-factor", "3",
+        rc = cli_main(["bench", "--sizes", "200,300", "--edge-factor", "3",
                        "--feat-dim", "6", "--epochs", "1", "--repeats", "1",
                        "--out", str(tmp_path / "bench")])
         assert rc == 0
-        assert (tmp_path / "bench" / "bench.csv").exists()
+        assert len((tmp_path / "bench" / "bench.csv").read_text().splitlines()) == 3
+        r2_line, slope_line = capsys.readouterr().out.strip().splitlines()[-2:]
+        assert r2_line.startswith("train_s vs n: R^2 = ")
+        assert slope_line.startswith("train peak memory log-log slope = ")
+        assert slope_line.endswith(" (sublinear < 1)")
+        assert float(r2_line.rsplit(" ", 1)[1]) <= 1.0
+        assert np.isfinite(float(slope_line.split(" = ")[1].split()[0]))
 
     def test_train_distribution_export(self, fixture_run_values, tmp_path, capsys):
         values = {**fixture_run_values, "out": str(tmp_path / "train_out"),
@@ -358,17 +403,83 @@ class TestCli:
             assert all(abs(s - 1.0) < 1e-9 for s in sums)
 
     def test_train_filtered_cache_checked(self, fixture_run_values, tmp_path, capsys):
-        def flags(values):
-            return [a for k, v in values.items() for a in (f"--{k.replace('_', '-')}", str(v))]
-        assert cli_main(["filter", *flags(fixture_run_values)]) == 0
+        assert cli_main(["filter", "--text", *_flags(fixture_run_values)]) == 0
         cache = str(Path(fixture_run_values["out"]) / "filtered.npz")
         other = tmp_path / "other_features.txt"
         save_features(2 * load_features(fixture_run_values["features"]), other)
         values = {**fixture_run_values, "features": str(other), "out": str(tmp_path / "t")}
-        assert cli_main(["train", "--filtered", cache, *flags(values)]) == 3
+        assert cli_main(["train", "--filtered", cache, *_flags(values)]) == 3
         assert "features_sha256" in capsys.readouterr().err
         values = {**fixture_run_values, "out": str(tmp_path / "t2")}
-        assert cli_main(["train", "--filtered", cache, *flags(values)]) == 0
+        text_matrix = str(Path(fixture_run_values["out"]) / "filtered.txt")
+        assert cli_main(["train", "--filtered", text_matrix, *_flags(values)]) == 2
+        assert cli_main(["train", "--filtered", cache, *_flags(values)]) == 0
+        manifest = json.loads((tmp_path / "t2" / "manifest.json").read_text())
+        assert manifest["inputs"] == {"filtered": _sha256(Path(cache))}
+
+    def test_train_ae_checkpoint_recorded(self, fixture_run_values, tmp_path, capsys):
+        ckpt_dir = tmp_path / "ae"
+        assert cli_main(["pretrain", *_flags({**fixture_run_values,
+                                              "out": str(ckpt_dir)})]) == 0
+        ckpt = ckpt_dir / "pretrain.npz"
+        before = ckpt.read_bytes()
+        values = {**fixture_run_values, "repeat": 2}
+        assert cli_main(["train", "--ae-checkpoint", str(ckpt), *_flags(values)]) == 0
+        assert ckpt.read_bytes() == before
+        manifest = json.loads((Path(values["out"]) / "manifest.json").read_text())
+        assert manifest["inputs"] == {"ae_checkpoint": _sha256(ckpt)}
+        per_seed = json.loads((Path(values["out"]) / "metrics.json").read_text())["per_seed"]
+        assert [row["seed"] for row in per_seed] == [0, 1]
+
+    @pytest.mark.parametrize("method", ["exact", "randomwalk"])
+    def test_train_writes_pipeline_artifacts(self, method, fixture_run_values, tmp_path,
+                                             capsys):
+        values = {**fixture_run_values, "filter_method": method, "rrz": 0.5,
+                  "n_walks": 500}
+        names = ("loss.csv", "assignments.txt", "checkpoint.npz", "filtered.npz",
+                 "metrics.json", "metrics.csv")
+        written = {}
+        for command in ("train", "pipeline"):
+            out = tmp_path / command
+            assert cli_main([command, *_flags({**values, "out": str(out)})]) == 0
+            written[command] = {n: (out / n).read_bytes() for n in names if (out / n).exists()}
+        assert written["train"] == written["pipeline"]
+        assert set(written["train"]) == set(names) - ({"filtered.npz"} if method == "randomwalk"
+                                                      else set())
+        out = tmp_path / "repeat"
+        assert cli_main(["train", *_flags({**values, "out": str(out), "repeat": 2})]) == 0
+        assert len(json.loads((out / "metrics.json").read_text())["per_seed"]) == 2
+
+    def test_train_config_keeps_kmeans_max_iters(self, tmp_path, capsys):
+        # a noisy R-MAT graph, where one k-means iteration moves the assignments
+        save_edge_list(rmat_generate(60, 4, 1), tmp_path / "edges.txt")
+        save_features(np.random.default_rng(0).random((60, 6)), tmp_path / "features.txt")
+        save_labels(np.arange(60) % 4, tmp_path / "labels.txt")
+        values = {"edges": str(tmp_path / "edges.txt"), "n_nodes": 60, "k": 4,
+                  "features": str(tmp_path / "features.txt"),
+                  "labels": str(tmp_path / "labels.txt"), "architecture": "8-4",
+                  "learning_rate": 0.01, "pretrain_lr": 0.01, "n_epochs": 5,
+                  "pretrain_n_epochs": 5, "batch_size": 16, "dropout_rate": 0.0}
+        run_pipeline(resolve_run_config({**values, "out": str(tmp_path / "default")}))
+        run_pipeline(resolve_run_config({**values, "kmeans_max_iters": 1,
+                                         "out": str(tmp_path / "km1")}))
+        assert cli_main(["train", "--config", str(tmp_path / "km1" / "manifest.json"),
+                         "--out", str(tmp_path / "t")]) == 0
+
+        def read(run, name):
+            return (tmp_path / run / name).read_bytes()
+        assert read("km1", "assignments.txt") != read("default", "assignments.txt")
+        for name in ("assignments.txt", "loss.csv"):
+            assert read("t", name) == read("km1", name)
+
+    @pytest.mark.parametrize("command", ["filter", "pretrain", "train"])
+    def test_stage_exit_codes(self, command, fixture_run_values, tmp_path, capsys):
+        bad = tmp_path / "bad_edges.txt"
+        bad.write_text("0 1 junk\n")
+        values = {**fixture_run_values, "edges": str(bad)}
+        if command == "pretrain":
+            values = {**fixture_run_values, "features": str(tmp_path / "missing.txt")}
+        assert cli_main([command, *_flags(values)]) == 3
 
     def test_load_stage_exit_code(self, fixture_run_values, tmp_path):
         bad = tmp_path / "bad.txt"

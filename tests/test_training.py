@@ -37,7 +37,7 @@ class TestConfig:
     def test_validation(self):
         for bad in (dict(architecture=()), dict(learning_rate=0.0),
                     dict(n_epochs=-1), dict(batch_size=0), dict(beta=-0.1),
-                    dict(epsilon_mix=1.5), dict(v_dof=0.0), dict(update_p=0),
+                    dict(epsilon=1.5), dict(v=0.0), dict(update_p=0),
                     dict(dropout_rate=1.0), dict(weight_decay=-1.0),
                     dict(ae_input="other")):
             with pytest.raises(ValueError):
@@ -90,7 +90,7 @@ class TestPretrain:
 class TestTrainRwsl:
     def test_loss_composition(self, clique_inputs):
         g, xf, x, _ = clique_inputs
-        cfg = replace(FAST, beta=0.37, gamma_loss=0.91, batch_size=10)
+        cfg = replace(FAST, beta=0.37, gamma=0.91, batch_size=10)
         res = train_rwsl(g, xf, x, 2, cfg)
         h = res.loss_history
         recomposed = h[:, 1] + 0.37 * h[:, 2] + 0.91 * h[:, 3]
@@ -113,7 +113,7 @@ class TestTrainRwsl:
     @pytest.mark.parametrize("eps", [0.0, 1.0])
     def test_blend_boundaries_complete(self, clique_inputs, eps):
         g, xf, x, _ = clique_inputs
-        res = train_rwsl(g, xf, x, 2, replace(FAST, epsilon_mix=eps))
+        res = train_rwsl(g, xf, x, 2, replace(FAST, epsilon=eps))
         assert np.allclose(res.p_h.sum(axis=1), 1.0, atol=1e-9)
         assert np.isfinite(res.loss_history).all()
 
