@@ -15,12 +15,10 @@ import sys
 from dataclasses import MISSING
 from pathlib import Path
 
-import numpy as np
-
 from .errors import PipelineStageError, run_stage
 from .filters import save_filtered_cache
 from .graph import (augment_self_loops, load_edge_list, load_features,
-                    load_labels, save_features)
+                    load_labels, rmat_generate, save_features)
 from .metrics import evaluate_all
 from .pipeline import (bench_fit_lines, bench_rows_to_csv, bench_scalability,
                        config_fields, filter_features, load_config_file,
@@ -32,6 +30,9 @@ from .training import pretrain_autoencoder, save_checkpoint
 
 # argparse type per config field annotation; other annotations take a string
 _FLAG_TYPES = {"int": int, "float": float, "Optional[int]": int}
+
+# edges per node of the R-MAT graph `rwsl spectral` reports on without --edges
+_SPECTRAL_EDGE_FACTOR = 4.0
 
 
 def _collect_config(args: argparse.Namespace) -> dict:
@@ -47,13 +48,6 @@ def _require(values: dict, keys) -> None:
     missing = [k for k in keys if not values.get(k) and values.get(k) != 0]
     if missing:
         raise PipelineStageError("config", ValueError(f"missing required options: {missing}"))
-
-
-def _matrix_from(path: str) -> np.ndarray:
-    if str(path).endswith(".npz"):
-        with np.load(path) as blob:
-            return np.asarray(blob["values"], dtype=np.float64)
-    return load_features(path)
 
 
 def _float_list(text: str):
@@ -91,7 +85,11 @@ def _cmd_pretrain(args) -> int:
     values = _collect_config(args)
     _require(values, ("features", "out"))
     _run, _filter_cfg, train_cfg = run_stage("config", split_config, values)
-    x = run_stage("load", _matrix_from, values["features"])
+    if str(values["features"]).endswith(".npz"):
+        raise PipelineStageError("config", ValueError(
+            f"--features takes a text feature matrix, not {values['features']!r}; "
+            "write filtered features as text with `rwsl filter --text`"))
+    x = run_stage("load", load_features, values["features"])
     out_dir = Path(values["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
     encoder, decoder = run_stage("pretrain", pretrain_autoencoder, x,
@@ -126,8 +124,10 @@ def _cmd_eval(args) -> int:
     _require(values, ("edges", "n_nodes", "labels", "out"))
     if not args.pred:
         raise PipelineStageError("config", ValueError("--pred is required"))
-    g_plain = load_edge_list(values["edges"], values["n_nodes"])
-    report = evaluate_all(g_plain, load_labels(args.pred), load_labels(values["labels"]))
+    g_plain = run_stage("load", load_edge_list, values["edges"], values["n_nodes"])
+    pred = run_stage("load", load_labels, args.pred)
+    labels = run_stage("load", load_labels, values["labels"])
+    report = evaluate_all(g_plain, pred, labels)
     out_dir = Path(values["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
     write_metric_report_json(report, out_dir / "metrics.json")
@@ -170,8 +170,12 @@ def _cmd_bench(args) -> int:
 
 def _cmd_spectral(args) -> int:
     values = _collect_config(args)
-    _require(values, ("edges", "n_nodes", "out"))
-    g_plain = load_edge_list(values["edges"], values["n_nodes"])
+    _require(values, ("n_nodes", "out"))
+    if values.get("edges"):
+        g_plain = run_stage("load", load_edge_list, values["edges"], values["n_nodes"])
+    else:
+        g_plain = run_stage("load", rmat_generate, values["n_nodes"], _SPECTRAL_EDGE_FACTOR,
+                            values.get("seed", 0))
     alphas = _float_list(args.alphas) if args.alphas else [values.get("alpha", 0.1)]
     hops = values.get("hops", 100)
     summary = spectral_run(g_plain, alphas, hops, values["out"],
@@ -238,7 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-nodes", type=int, default=100_000,
                    help="desk-scale ceiling; raise to opt in to larger runs")
 
-    p = sub.add_parser("spectral", help="eigenvalue report and claim checks")
+    p = sub.add_parser("spectral", help="eigenvalue report and claim checks; "
+                       "without --edges, on an R-MAT graph of --n-nodes nodes")
     common(p)
     p.add_argument("--alphas", type=str, default=None, help="comma-separated alphas")
     p.add_argument("--dense-limit", type=int, default=3000)

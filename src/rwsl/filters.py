@@ -92,12 +92,16 @@ def _propagation_matrix(g: CsrGraph, rrz: float) -> sp.csr_matrix:
 
     rrz = 0.5 gives the symmetric normalized operator D^-1/2 A D^-1/2;
     rrz = 0 gives the row-stochastic random-walk step D^-1 A.
+
+    The row factors are repeated along each row, then multiplied in place
+    by the column factors gathered into one scratch array; no per-edge row
+    index is built.
     """
     if not g.self_loops_added:
         raise ValueError("propagation requires the self-loop-augmented graph")
     deg = g.degrees.astype(np.float64)
-    rows = np.repeat(np.arange(g.n_nodes, dtype=np.int64), g.degrees)
-    data = deg[rows] ** (rrz - 1.0) * deg[g.col_indices] ** (-rrz)
+    data = np.repeat(deg ** (rrz - 1.0), g.degrees)
+    data *= (deg ** -rrz)[g.col_indices]
     return sp.csr_matrix((data, g.col_indices, g.row_offsets),
                          shape=(g.n_nodes, g.n_nodes))
 

@@ -82,41 +82,47 @@ class CsrGraph:
             raise ValueError("adjacency is not symmetric")
 
 
-def _csr_from_directed(n_nodes: int, src: np.ndarray, dst: np.ndarray,
-                       self_loops_added: bool = False) -> CsrGraph:
-    """Build a CsrGraph from already-symmetric directed pairs (dedup + sort)."""
+def from_edge_array(n_nodes: int, u: np.ndarray, v: np.ndarray) -> CsrGraph:
+    """Symmetrize, deduplicate and sort raw edge pairs; drops self-loops.
+
+    Each kept pair is written as the two int64 keys u * n + v and v * n + u
+    into one array, which is sorted in place and compacted only if it holds
+    duplicates. Each row's offset is a binary search for its first key, and
+    the columns are the keys' remainders, taken in place, so no per-edge row
+    array is built: beyond the result the build holds one edge-sized
+    scratch array.
+    """
+    u = np.asarray(u, dtype=np.int64)
+    v = np.asarray(v, dtype=np.int64)
+    if len(u) and (min(u.min(), v.min()) < 0 or max(u.max(), v.max()) >= n_nodes):
+        raise NodeIdRangeError("node id outside [0, n_nodes)")
     if n_nodes >= _MAX_NODES:
         raise ValueError(f"n_nodes must be < {_MAX_NODES}")
-    keys = src.astype(np.int64) * n_nodes + dst.astype(np.int64)
+    keep = u != v
+    u, v = u[keep], v[keep]
+    m = len(u)
+    keys = np.empty(2 * m, dtype=np.int64)
+    np.multiply(u, n_nodes, out=keys[:m])
+    keys[:m] += v
+    np.multiply(v, n_nodes, out=keys[m:])
+    keys[m:] += u
+    del u, v
     # sort + neighbour mask: np.unique on numpy >= 2.3 hashes before it
     # sorts, ~50x slower on a few 100k keys for the same result
     keys.sort()
     first = np.ones(len(keys), dtype=bool)
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    keys = keys[first]
-    src = keys // n_nodes
-    dst = keys % n_nodes
-    row_offsets = np.zeros(n_nodes + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n_nodes), out=row_offsets[1:])
-    n_loops = int(np.count_nonzero(src == dst))
+    if not first.all():
+        keys = keys[first]
+    del first
+    row_offsets = np.searchsorted(keys, np.arange(n_nodes + 1, dtype=np.int64) * n_nodes)
+    np.remainder(keys, n_nodes, out=keys)
     return CsrGraph(
         n_nodes=n_nodes,
-        n_edges=(len(keys) - n_loops) // 2,
-        row_offsets=row_offsets,
-        col_indices=dst,
-        self_loops_added=self_loops_added,
+        n_edges=len(keys) // 2,
+        row_offsets=row_offsets.astype(np.int64, copy=False),
+        col_indices=keys,
     )
-
-
-def from_edge_array(n_nodes: int, u: np.ndarray, v: np.ndarray) -> CsrGraph:
-    """Symmetrize, deduplicate and sort raw edge pairs; drops self-loops."""
-    u = np.asarray(u, dtype=np.int64)
-    v = np.asarray(v, dtype=np.int64)
-    if len(u) and (min(u.min(), v.min()) < 0 or max(u.max(), v.max()) >= n_nodes):
-        raise NodeIdRangeError("node id outside [0, n_nodes)")
-    keep = u != v
-    u, v = u[keep], v[keep]
-    return _csr_from_directed(n_nodes, np.concatenate([u, v]), np.concatenate([v, u]))
 
 
 def load_edge_list(path, n_nodes: int) -> CsrGraph:
@@ -188,17 +194,27 @@ def save_edge_list(g: CsrGraph, path) -> None:
 
 
 def augment_self_loops(g: CsrGraph) -> CsrGraph:
-    """Return a copy of ``g`` with one self-loop per node (degree + 1)."""
+    """Return a copy of ``g`` with one self-loop per node (degree + 1).
+
+    Node u's loop goes where u would sort into its row, found by a binary
+    search run on every row at once, so beyond the result only the
+    insertion mask of ``np.insert`` is edge-sized.
+    """
     if g.self_loops_added:
         raise AlreadyAugmentedError("graph already has self-loops")
     n = g.n_nodes
-    # insertion point of u in its sorted row = count of neighbors < u
-    rows = np.repeat(np.arange(n, dtype=np.int64), g.degrees)
-    less = g.col_indices < rows
-    counts = np.zeros(n, dtype=np.int64)
-    np.add.at(counts, rows[less], 1)
-    positions = g.row_offsets[:-1] + counts
-    new_cols = np.insert(g.col_indices, positions, np.arange(n, dtype=np.int64))
+    nodes = np.arange(n, dtype=np.int64)
+    # lower bound of u in row u: the first position in [lo, lo + width)
+    # whose column is >= u; each pass halves every row's open width
+    positions = g.row_offsets[:-1].copy()
+    width = g.degrees
+    while width.any():
+        half = width // 2
+        mid = positions + half
+        below = (g.col_indices.take(mid, mode="clip") < nodes) & (width > 0)
+        positions[below] = mid[below] + 1
+        width = np.where(below, width - half - 1, half)
+    new_cols = np.insert(g.col_indices, positions, nodes)
     new_offsets = g.row_offsets + np.arange(n + 1, dtype=np.int64)
     return CsrGraph(n, g.n_edges, new_offsets, new_cols, self_loops_added=True)
 

@@ -176,6 +176,9 @@ def macro_f1(pred, truth) -> float:
 
 
 def _edge_label_views(g: CsrGraph, assignment: np.ndarray):
+    """The checked assignment and, per stored entry (u, v), the labels of u
+    and of v; u's label is repeated along its row, so no per-edge row index
+    is built."""
     if g.self_loops_added:
         raise ValueError("graph metrics use the un-augmented graph")
     assignment = as_labels(assignment)
@@ -183,8 +186,7 @@ def _edge_label_views(g: CsrGraph, assignment: np.ndarray):
         raise ValueError("assignment length != n_nodes")
     if g.n_edges == 0:
         raise ValueError("graph has no edges")
-    rows = np.repeat(np.arange(g.n_nodes, dtype=np.int64), g.degrees)
-    return assignment, assignment[rows], assignment[g.col_indices]
+    return assignment, np.repeat(assignment, g.degrees), assignment[g.col_indices]
 
 
 def modularity(g: CsrGraph, assignment) -> float:

@@ -245,6 +245,11 @@ def run_pipeline(cfg: RunConfig, *, filtered=None, ae_checkpoint=None,
     stage, and ``ae_checkpoint`` (a checkpoint holding an encoder and a
     decoder) replaces pretraining; the manifest records the sha256 of each
     under ``inputs``. ``_data`` lets the sweeps inject pre-loaded inputs.
+
+    The run drops its reference to the raw features once nothing after the
+    filter stage reads them (``ae_input = "filtered"``, and a filter that is
+    not redrawn per seed), so they are not held through training and
+    evaluation; a sweep keeps the raw matrix its sub-runs share.
     """
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -272,13 +277,19 @@ def run_pipeline(cfg: RunConfig, *, filtered=None, ae_checkpoint=None,
         inputs["ae_checkpoint"] = _sha256(Path(ae_checkpoint))
     cache_path = out_dir / "filtered.npz" if cfg.filter_method == "exact" else None
     seeds = [cfg.train.seed + i for i in range(cfg.repeat)]
+    # the random-walk estimate is redrawn per seed; otherwise, unless the
+    # autoencoder reads them, the raw features are not read after filtering
+    refilter = filtered is None and cfg.filter_method == "randomwalk"
+    keep_raw = refilter or cfg.train.ae_input == "raw"
 
     reports = []
     first = None
     for seed in seeds:
-        if x_filtered is None or (filtered is None and cfg.filter_method == "randomwalk"):
+        if x_filtered is None or refilter:
             x_filtered = run_stage("filter", filter_features, g_aug, x_raw, cfg.filter,
                                    method=cfg.filter_method, seed=seed, cache_path=cache_path)
+        if not keep_raw:
+            x_raw = None
         train_cfg = replace(cfg.train, seed=seed)
         if autoencoder is None:
             ae_x = x_filtered if train_cfg.ae_input == "filtered" else x_raw
@@ -300,6 +311,9 @@ def run_pipeline(cfg: RunConfig, *, filtered=None, ae_checkpoint=None,
                       {"encoder": result.encoder, "decoder": result.decoder, "dnn": result.dnn},
                       {"seed": seed, "k": cfg.k}, {"centroids": result.cluster.centroids})
 
+    written = {"loss.csv", "assignments.txt", "checkpoint.npz"}
+    if filtered is None and cache_path is not None:
+        written.add("filtered.npz")     # written, or checked against this run's inputs
     summary = None
     if reports:
         summary = _aggregate(reports)
@@ -307,15 +321,20 @@ def run_pipeline(cfg: RunConfig, *, filtered=None, ae_checkpoint=None,
         run_stage("write", Path(out_dir / "metrics.json").write_text,
                   json.dumps(summary, indent=2) + "\n")
         run_stage("write", write_metric_report_csv, [summary["mean"]], out_dir / "metrics.csv")
-    run_stage("write", _write_manifest, cfg, seeds, out_dir, inputs)
+        written |= {"metrics.json", "metrics.csv"}
+    run_stage("write", _write_manifest, cfg, seeds, out_dir, inputs, written)
     return PipelineOutcome(summary, reports, seeds, out_dir, first)
 
 
-def _write_manifest(cfg: RunConfig, seeds: list, out_dir: Path, inputs: dict) -> None:
-    artifact_names = ("metrics.json", "metrics.csv", "loss.csv", "assignments.txt",
-                      "checkpoint.npz", "filtered.npz")
-    artifacts = {name: _sha256(out_dir / name)
-                 for name in artifact_names if (out_dir / name).exists()}
+_ARTIFACT_NAMES = ("metrics.json", "metrics.csv", "loss.csv", "assignments.txt",
+                   "checkpoint.npz", "filtered.npz")
+
+
+def _write_manifest(cfg: RunConfig, seeds: list, out_dir: Path, inputs: dict,
+                    written: set) -> None:
+    """Write manifest.json, hashing the artifacts named in ``written``: this
+    run's files, not older ones left in ``out_dir``."""
+    artifacts = {name: _sha256(out_dir / name) for name in _ARTIFACT_NAMES if name in written}
     manifest = {
         "kind": "manifest",
         "version": MANIFEST_VERSION,
@@ -439,7 +458,7 @@ def bench_scalability(sizes, edge_factor: float, feat_dim: int, epochs: int,
                     tracemalloc.start()
                 tracemalloc.reset_peak()
                 t0 = time.perf_counter()
-                train_rwsl(g, xf, None, k, train_cfg, return_embeddings=False)
+                train_rwsl(g, xf, None, k, train_cfg)
                 train_s = time.perf_counter() - t0
                 _, peak = tracemalloc.get_traced_memory()
                 if started_here:

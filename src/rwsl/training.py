@@ -234,7 +234,6 @@ class TrainResult:
     """Outputs of the co-train loop."""
 
     cluster: ClusterState
-    z_final: Optional[np.ndarray]
     loss_history: np.ndarray        # columns: iteration, mse, kl_dnn, kl_enc, total
     dead_cluster_events: int
     encoder: MlpModel
@@ -257,8 +256,7 @@ class TrainResult:
 def train_rwsl(g: CsrGraph, x_filtered: np.ndarray, x_raw: Optional[np.ndarray],
                n_clusters: int, cfg: TrainConfig, *,
                encoder: Optional[MlpModel] = None,
-               decoder: Optional[MlpModel] = None,
-               return_embeddings: bool = True) -> TrainResult:
+               decoder: Optional[MlpModel] = None) -> TrainResult:
     """Run the full co-train loop and return assignments plus diagnostics.
 
     Steps: (1) pretrain the autoencoder on filtered or raw attributes per
@@ -270,8 +268,8 @@ def train_rwsl(g: CsrGraph, x_filtered: np.ndarray, x_raw: Optional[np.ndarray],
     per model on the combined loss; (5) finalize with a full-graph evaluation
     pass and a hard argmax assignment.
 
-    Deterministic for a given (inputs, config) pair. ``return_embeddings``
-    can be disabled to avoid materializing the N x embedding matrix.
+    Deterministic for a given (inputs, config) pair. The final embeddings
+    are consumed batch by batch and never held as an N x embedding matrix.
     """
     x_filtered = as_features(x_filtered)
     if x_filtered.shape[0] != g.n_nodes:
@@ -346,12 +344,9 @@ def train_rwsl(g: CsrGraph, x_filtered: np.ndarray, x_raw: Optional[np.ndarray],
     # final evaluation pass (no dropout), batch-bounded
     p_z = np.empty((n, n_clusters))
     p_h = np.empty((n, n_clusters))
-    z_final = np.empty((n, cfg.architecture[-1])) if return_embeddings else None
     for lo, hi in _batch_slices(n, cfg.batch_size):
         z, mix_hidden, _ = mlp_forward(encoder, ae_x[lo:hi])
         p_z[lo:hi] = soft_assign(z, centroids, v)
-        if return_embeddings:
-            z_final[lo:hi] = z
         logits, _, _ = mlp_forward(dnn, x_filtered[lo:hi], mix=mix_hidden, mix_eps=eps)
         p_h[lo:hi] = row_softmax(logits)
     if target is None:
@@ -361,7 +356,6 @@ def train_rwsl(g: CsrGraph, x_filtered: np.ndarray, x_raw: Optional[np.ndarray],
     state = ClusterState(n_clusters, centroids, p_z, p_h, target, assignments)
     return TrainResult(
         cluster=state,
-        z_final=z_final,
         loss_history=history,
         dead_cluster_events=dead_events,
         encoder=encoder,

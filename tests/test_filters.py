@@ -8,7 +8,7 @@ from rwsl.filters import (FILTER_BLOCK, WALK_CHUNK, FilterConfig, _propagation_m
                           filter_exact, filter_randomwalk, filtered_cache_header,
                           load_filtered_cache, ppr_weights, propagate_step,
                           save_filtered_cache)
-from rwsl.graph import augment_self_loops, from_edge_array, rmat_generate
+from rwsl.graph import augment_self_loops, disjoint_cliques, from_edge_array, rmat_generate
 from rwsl.spectral import dense_propagation_matrix
 
 
@@ -152,6 +152,47 @@ class TestPropagateStep:
         g = from_edge_array(3, np.array([0, 1]), np.array([1, 2]))
         with pytest.raises(ValueError):
             propagate_step(g, np.eye(3), 0.5)
+
+
+def propagation_matrix_reference(g, rrz):
+    """The former ``_propagation_matrix`` (both factors gathered through a
+    per-edge row index), kept as its bit-exact oracle."""
+    deg = g.degrees.astype(np.float64)
+    rows = np.repeat(np.arange(g.n_nodes, dtype=np.int64), g.degrees)
+    data = deg[rows] ** (rrz - 1.0) * deg[g.col_indices] ** (-rrz)
+    return sp.csr_matrix((data, g.col_indices, g.row_offsets), shape=(g.n_nodes, g.n_nodes))
+
+
+OPERATOR_GRAPHS = {
+    "rmat": lambda: rmat_generate(2000, 8, seed=3),
+    "cliques": lambda: disjoint_cliques(3, 7),
+    "isolated-nodes": lambda: from_edge_array(8, np.array([0, 1, 2, 0]), np.array([1, 2, 3, 3])),
+    "self-loops-only": lambda: from_edge_array(5, np.arange(5), np.arange(5)),
+    "duplicate-reversed": lambda: from_edge_array(
+        6, np.array([0, 1, 1, 4, 5, 2, 2]), np.array([1, 0, 1, 5, 4, 3, 3])),
+}
+
+
+class TestPropagationMatrix:
+    @pytest.mark.parametrize("graph", sorted(OPERATOR_GRAPHS))
+    def test_matches_reference_bits(self, graph):
+        g = augment_self_loops(OPERATOR_GRAPHS[graph]())
+        for rrz in (0.0, 0.25, 0.4, 0.5, 0.75, 1.0):
+            got, want = _propagation_matrix(g, rrz), propagation_matrix_reference(g, rrz)
+            assert np.array_equal(bits(got.data), bits(want.data))
+            for name in ("indices", "indptr"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    def test_build_peak(self, traced_peak):
+        g = augment_self_loops(rmat_generate(5000, 30, seed=0))
+        op = _propagation_matrix(g, 0.4)
+        result = op.data.nbytes + op.indices.nbytes + op.indptr.nbytes
+        peak = traced_peak(_propagation_matrix, g, 0.4)
+        # beyond the operator, the gathered column factors (0.5x: they are
+        # freed before scipy narrows the indices); the per-entry form held a
+        # row index and several float arrays besides (2.5x)
+        assert peak - result < op.data.nbytes
 
 
 class TestFilterExact:

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from rwsl import graph as graph_module
 from rwsl.errors import AlreadyAugmentedError, EdgeListParseError, NodeIdRangeError
-from rwsl.graph import (CsrGraph, _csr_from_directed, _edge_pairs_by_line,
+from rwsl.graph import (CsrGraph, _edge_pairs_by_line,
                         as_features, as_labels, augment_self_loops,
                         disjoint_cliques, from_edge_array, graph_hash,
                         load_edge_list, load_features, load_labels,
@@ -130,6 +130,8 @@ class TestLoadEdgeListFastPath:
 
 
 class TestCsrFromDirected:
+    """The CSR build inside ``from_edge_array`` (key sort, dedup, offsets)."""
+
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_unique_reference(self, seed):
         rng = np.random.default_rng(seed)
@@ -137,15 +139,162 @@ class TestCsrFromDirected:
         m = int(rng.integers(0, 4000))
         src, dst = rng.integers(0, n, m), rng.integers(0, n, m)
         dst[: m // 5] = src[: m // 5]                   # self-loops
-        src = np.concatenate([src, src[: m // 3]])      # duplicates
-        dst = np.concatenate([dst, dst[: m // 3]])
-        g = _csr_from_directed(n, src, dst)
-        keys = np.unique(src * n + dst)
+        src = np.concatenate([src, src[: m // 3], dst[m // 3: m // 2]])   # duplicates,
+        dst = np.concatenate([dst, dst[: m // 3], src[m // 3: m // 2]])   # reversed pairs
+        g = from_edge_array(n, src, dst)
+        keep = src != dst
+        keys = np.unique(np.concatenate([src[keep] * n + dst[keep], dst[keep] * n + src[keep]]))
         row_offsets = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(keys // n, minlength=n), out=row_offsets[1:])
         assert np.array_equal(g.col_indices, keys % n)
         assert np.array_equal(g.row_offsets, row_offsets)
-        assert g.n_edges == (len(keys) - np.count_nonzero(keys // n == keys % n)) // 2
+        assert g.n_edges == len(keys) // 2
+
+
+def _csr_from_directed_reference(n_nodes, src, dst, self_loops_added=False):
+    """The former CSR construction behind ``from_edge_array``, kept as its oracle."""
+    if n_nodes >= 2**31:
+        raise ValueError(f"n_nodes must be < {2**31}")
+    keys = src.astype(np.int64) * n_nodes + dst.astype(np.int64)
+    keys.sort()
+    first = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    keys = keys[first]
+    src = keys // n_nodes
+    dst = keys % n_nodes
+    row_offsets = np.zeros(n_nodes + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n_nodes), out=row_offsets[1:])
+    n_loops = int(np.count_nonzero(src == dst))
+    return CsrGraph(n_nodes=n_nodes, n_edges=(len(keys) - n_loops) // 2,
+                    row_offsets=row_offsets, col_indices=dst,
+                    self_loops_added=self_loops_added)
+
+
+def from_edge_array_reference(n_nodes, u, v):
+    """The former ``from_edge_array`` (concatenated pairs), kept as its oracle."""
+    u = np.asarray(u, dtype=np.int64)
+    v = np.asarray(v, dtype=np.int64)
+    if len(u) and (min(u.min(), v.min()) < 0 or max(u.max(), v.max()) >= n_nodes):
+        raise NodeIdRangeError("node id outside [0, n_nodes)")
+    keep = u != v
+    u, v = u[keep], v[keep]
+    return _csr_from_directed_reference(n_nodes, np.concatenate([u, v]),
+                                        np.concatenate([v, u]))
+
+
+def augment_self_loops_reference(g):
+    """The former ``augment_self_loops`` (``np.add.at`` over a per-edge row
+    array), kept as its oracle."""
+    n = g.n_nodes
+    rows = np.repeat(np.arange(n, dtype=np.int64), g.degrees)
+    less = g.col_indices < rows
+    counts = np.zeros(n, dtype=np.int64)
+    np.add.at(counts, rows[less], 1)
+    positions = g.row_offsets[:-1] + counts
+    new_cols = np.insert(g.col_indices, positions, np.arange(n, dtype=np.int64))
+    new_offsets = g.row_offsets + np.arange(n + 1, dtype=np.int64)
+    return CsrGraph(n, g.n_edges, new_offsets, new_cols, self_loops_added=True)
+
+
+def _clique_pairs(n_cliques, size):
+    i, j = np.triu_indices(size, 1)
+    base = np.repeat(np.arange(n_cliques) * size, len(i))
+    return n_cliques * size, base + np.tile(i, n_cliques), base + np.tile(j, n_cliques)
+
+
+def _rmat_pairs():
+    g = rmat_generate(3000, 6, seed=4)
+    rows = np.repeat(np.arange(g.n_nodes), g.degrees)
+    return g.n_nodes, rows, g.col_indices.copy()     # every edge in both directions
+
+
+def _random_pairs(seed):
+    """Duplicate and reversed pairs, self-loops and isolated nodes."""
+    rng = np.random.default_rng(seed)
+    u, v = rng.integers(0, 400, 3000), rng.integers(0, 400, 3000)
+    v[::7] = u[::7]
+    return 500, np.concatenate([u, v[:900], u[:50]]), np.concatenate([v, u[:900], v[:50]])
+
+
+EDGE_ARRAYS = {
+    "rmat": _rmat_pairs,
+    "cliques": lambda: _clique_pairs(4, 9),
+    "isolated-nodes": lambda: (9, np.array([0, 2, 2]), np.array([2, 0, 5])),
+    "self-loops-only": lambda: (4, np.array([0, 1, 3, 3]), np.array([0, 1, 3, 3])),
+    "no-pairs": lambda: (3, np.array([], dtype=np.int64), np.array([], dtype=np.int64)),
+    "no-nodes": lambda: (0, np.array([], dtype=np.int64), np.array([], dtype=np.int64)),
+    "random-0": lambda: _random_pairs(0),
+    "random-1": lambda: _random_pairs(1),
+}
+
+
+def _same_graph(a, b):
+    assert (a.n_nodes, a.n_edges, a.self_loops_added) == (b.n_nodes, b.n_edges,
+                                                          b.self_loops_added)
+    for name in ("row_offsets", "col_indices"):
+        got, want = getattr(a, name), getattr(b, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+    assert graph_hash(a) == graph_hash(b)
+
+
+class TestBuildMatchesReference:
+    @pytest.mark.parametrize("name", sorted(EDGE_ARRAYS))
+    def test_from_edge_array(self, name):
+        n, u, v = EDGE_ARRAYS[name]()
+        _same_graph(from_edge_array(n, u, v), from_edge_array_reference(n, u, v))
+
+    @pytest.mark.parametrize("name", sorted(EDGE_ARRAYS))
+    def test_augment_self_loops(self, name):
+        g = from_edge_array(*EDGE_ARRAYS[name]())
+        _same_graph(augment_self_loops(g), augment_self_loops_reference(g))
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 12),
+           pairs=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=40))
+    def test_random_pairs(self, n, pairs):
+        u = np.array([p[0] % n for p in pairs], dtype=np.int64)
+        v = np.array([p[1] % n for p in pairs], dtype=np.int64)
+        g = from_edge_array(n, u, v)
+        _same_graph(g, from_edge_array_reference(n, u, v))
+        _same_graph(augment_self_loops(g), augment_self_loops_reference(g))
+
+    def test_checks_kept(self):
+        with pytest.raises(NodeIdRangeError):
+            from_edge_array(3, np.array([0]), np.array([3]))
+        with pytest.raises(NodeIdRangeError):
+            from_edge_array(3, np.array([-1]), np.array([0]))
+        with pytest.raises(ValueError, match="n_nodes must be <"):
+            from_edge_array(2**31, np.array([0]), np.array([1]))
+
+
+# a few hundred thousand stored entries: edge-sized arrays dwarf n-sized ones
+MEMORY_NODES, MEMORY_PAIRS = 5_000, 150_000
+
+
+class TestBuildMemory:
+    """Each build holds, beyond its result, at most about one edge-sized
+    scratch array (8 bytes per stored entry); the former builds held
+    several."""
+
+    def test_from_edge_array_peak(self, traced_peak):
+        rng = np.random.default_rng(0)
+        u = rng.integers(0, MEMORY_NODES, MEMORY_PAIRS)
+        v = rng.integers(0, MEMORY_NODES, MEMORY_PAIRS)
+        g = from_edge_array(MEMORY_NODES, u, v)
+        result = g.col_indices.nbytes + g.row_offsets.nbytes
+        peak = traced_peak(from_edge_array, MEMORY_NODES, u, v)
+        # the key array is the result; the kept pairs are the one scratch
+        # array. Concatenating them, as before, read 4.2x an edge array.
+        assert peak - result < 1.5 * g.col_indices.nbytes
+
+    def test_augment_peak(self, traced_peak):
+        g = rmat_generate(MEMORY_NODES, MEMORY_PAIRS / MEMORY_NODES, seed=0)
+        ga = augment_self_loops(g)
+        result = ga.col_indices.nbytes + ga.row_offsets.nbytes
+        peak = traced_peak(augment_self_loops, g)
+        # np.insert's byte mask and a few n-sized arrays; the per-edge row
+        # array, its mask and its gather read 1.3x an edge array
+        assert peak - result < 0.5 * g.col_indices.nbytes
 
 
 def _csr(rows, n_edges, self_loops_added=False):

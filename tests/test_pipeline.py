@@ -1,6 +1,7 @@
 import hashlib
 import json
 import logging
+import weakref
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -18,7 +19,7 @@ from rwsl.pipeline import (_sha256, bench_rows_to_csv, bench_scalability, filter
                            parse_config_text, resolve_run_config,
                            run_config_to_flat, run_pipeline, spectral_run,
                            sweep_alpha, sweep_epsilon)
-from rwsl.training import TrainConfig
+from rwsl.training import TrainConfig, train_rwsl
 
 ARTIFACTS = ("metrics.json", "metrics.csv", "loss.csv", "assignments.txt",
              "checkpoint.npz", "filtered.npz", "manifest.json")
@@ -236,6 +237,52 @@ class TestRunPipeline:
         assert outcome.summary["mean"]["accuracy"] == 1.0
         # the estimator refilters per seed, so no exact-path cache is written
         assert not (Path(cfg.out) / "filtered.npz").exists()
+
+
+    def test_manifest_lists_only_this_runs_artifacts(self, fixture_run_values, tmp_path,
+                                                     capsys):
+        out = tmp_path / "shared"
+        run_pipeline(resolve_run_config({**fixture_run_values, "out": str(out)}))
+        assert (out / "metrics.json").exists()
+        unlabelled = {k: v for k, v in fixture_run_values.items() if k != "labels"}
+        assert cli_main(["train", *_flags({**unlabelled, "out": str(out), "seed": 3})]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert sorted(manifest["artifacts"]) == ["assignments.txt", "checkpoint.npz",
+                                                 "filtered.npz", "loss.csv"]
+        run_pipeline(resolve_run_config({**fixture_run_values, "out": str(out),
+                                         "filter_method": "randomwalk", "rrz": 0.5,
+                                         "n_walks": 200}))
+        assert (out / "filtered.npz").exists()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert sorted(manifest["artifacts"]) == ["assignments.txt", "checkpoint.npz",
+                                                 "loss.csv", "metrics.csv", "metrics.json"]
+        for name, digest in manifest["artifacts"].items():
+            assert digest == _sha256(out / name)
+
+    @pytest.mark.parametrize("changes, released", [
+        ({}, True),
+        ({"ae_input": "raw"}, False),
+        ({"filter_method": "randomwalk", "rrz": 0.5, "n_walks": 200}, False),
+    ])
+    def test_raw_features_released_after_filtering(self, changes, released,
+                                                   fixture_run_values, monkeypatch):
+        import rwsl.pipeline as pl
+        refs, alive = [], []
+
+        def loading(path):
+            x = load_features(path)
+            refs.append(weakref.ref(x))
+            return x
+
+        def training(*args, **kwargs):
+            alive.append(refs[0]() is not None)
+            return train_rwsl(*args, **kwargs)
+
+        monkeypatch.setattr(pl, "load_features", loading)
+        monkeypatch.setattr(pl, "train_rwsl", training)
+        outcome = run_pipeline(resolve_run_config({**fixture_run_values, **changes}))
+        assert alive == [not released]
+        assert outcome.summary["mean"]["accuracy"] == 1.0
 
 
 class TestSweeps:
@@ -472,14 +519,50 @@ class TestCli:
         for name in ("assignments.txt", "loss.csv"):
             assert read("t", name) == read("km1", name)
 
-    @pytest.mark.parametrize("command", ["filter", "pretrain", "train"])
+    @pytest.mark.parametrize("command", ["filter", "pretrain", "train", "eval", "spectral"])
     def test_stage_exit_codes(self, command, fixture_run_values, tmp_path, capsys):
         bad = tmp_path / "bad_edges.txt"
         bad.write_text("0 1 junk\n")
         values = {**fixture_run_values, "edges": str(bad)}
         if command == "pretrain":
             values = {**fixture_run_values, "features": str(tmp_path / "missing.txt")}
-        assert cli_main([command, *_flags(values)]) == 3
+        extra = ["--pred", fixture_run_values["labels"]] if command == "eval" else []
+        assert cli_main([command, *_flags(values), *extra]) == 3
+
+    @pytest.mark.parametrize("which", ["pred", "labels"])
+    def test_eval_bad_labels_exit_load(self, which, fixture_run_values, tmp_path, capsys):
+        bad = tmp_path / "bad_labels.txt"
+        bad.write_text("0\nx\n")
+        values = dict(fixture_run_values)
+        pred = fixture_run_values["labels"]
+        if which == "pred":
+            pred = str(bad)
+        else:
+            values["labels"] = str(bad)
+        assert cli_main(["eval", *_flags(values), "--pred", pred]) == 3
+
+    def test_pretrain_rejects_npz_features(self, fixture_run_values, tmp_path, capsys):
+        cache = tmp_path / "x.npz"
+        np.savez(cache, values=np.ones((7, 3)), header=np.array("{}"))
+        values = {**fixture_run_values, "features": str(cache), "out": str(tmp_path / "p")}
+        assert cli_main(["pretrain", *_flags(values)]) == 2
+        assert "rwsl filter --text" in capsys.readouterr().err
+        assert not (tmp_path / "p").exists()
+        # the same rule holds for a path that does not exist: nothing is read
+        values["features"] = str(tmp_path / "missing.npz")
+        assert cli_main(["pretrain", *_flags(values)]) == 2
+
+    def test_spectral_without_edges_uses_rmat(self, tmp_path, capsys):
+        out = tmp_path / "spec"
+        assert cli_main(["spectral", "--n-nodes", "60", "--seed", "2",
+                         "--alphas", "0.1,0.2", "--hops", "60", "--out", str(out)]) == 0
+        claims = (out / "claims.txt").read_text()
+        assert "claim1 alpha=(0.1,0.2)" in claims and "claim2 grid" in claims
+        summary = json.loads((out / "spectral.json").read_text())
+        assert summary["alphas"] == [0.1, 0.2] and summary["hops"] == 60
+        want = spectral_run(rmat_generate(60, 4.0, 2), [0.1, 0.2], 60, tmp_path / "ref")
+        assert summary == want
+        assert (out / "spectrum.csv").read_bytes() == (tmp_path / "ref" / "spectrum.csv").read_bytes()
 
     def test_load_stage_exit_code(self, fixture_run_values, tmp_path):
         bad = tmp_path / "bad.txt"

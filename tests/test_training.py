@@ -133,13 +133,6 @@ class TestTrainRwsl:
         res = train_rwsl(g, xf, x, 2, replace(FAST, update_p=7))
         assert np.isfinite(res.loss_history).all()
 
-    def test_skip_embeddings(self, clique_inputs):
-        g, xf, x, _ = clique_inputs
-        res = train_rwsl(g, xf, x, 2, FAST, return_embeddings=False)
-        assert res.z_final is None
-        res2 = train_rwsl(g, xf, x, 2, FAST)
-        assert res2.z_final.shape == (10, 4)
-
     def test_kmeans_sample_cap(self, clique_inputs):
         g, xf, x, _ = clique_inputs
         res = train_rwsl(g, xf, x, 2, replace(FAST, kmeans_sample_cap=6))
