@@ -159,9 +159,9 @@ def _cmd_bench(args) -> int:
     sizes = _int_list(args.sizes)
     out_dir = Path(args.out or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
-    rows = bench_scalability(sizes, args.edge_factor, args.feat_dim, args.epochs,
-                             repeats=args.repeats, seed=args.seed or 0,
-                             max_nodes=args.max_nodes)
+    rows = run_stage("bench", bench_scalability, sizes, args.edge_factor, args.feat_dim,
+                     args.epochs, repeats=args.repeats, seed=args.seed or 0,
+                     max_nodes=args.max_nodes)
     bench_rows_to_csv(rows, out_dir / "bench.csv")
     for line in [*rows, *bench_fit_lines(rows)]:
         print(line)
@@ -178,8 +178,8 @@ def _cmd_spectral(args) -> int:
                             values.get("seed", 0))
     alphas = _float_list(args.alphas) if args.alphas else [values.get("alpha", 0.1)]
     hops = values.get("hops", 100)
-    summary = spectral_run(g_plain, alphas, hops, values["out"],
-                           dense_limit=args.dense_limit)
+    summary = run_stage("spectral", spectral_run, g_plain, alphas, hops, values["out"],
+                        dense_limit=args.dense_limit)
     print((Path(values["out"]) / "claims.txt").read_text().strip())
     print(json.dumps(summary["max_abs_gap"]))
     return 0

@@ -6,15 +6,19 @@ T = D^(rrz-1) * A * D^(-rrz) on the self-loop-augmented graph. Two routes are
 provided: an exact sparse iteration (``filter_exact``, O(L*E*F), never
 materializes a dense operator; it propagates ``FILTER_BLOCK`` feature columns
 at a time into one preallocated output, so beyond X and P its working set
-is O(n * FILTER_BLOCK) plus the operator) and an unbiased Monte-Carlo random-walk
-estimator (``filter_randomwalk``) for any rrz in [0, 1], whose error
-shrinks as O(1/sqrt(n_walks)). The estimator walks all nodes at once in
-chunks of at most ``WALK_CHUNK`` walks, each with its own RNG stream seeded by
-(seed, chunk index), so its memory stays O(WALK_CHUNK + n * F) and its
-output is bit-identical across runs for a given seed. Its cost is the walks:
-each step gathers in place into the walk positions, and each chunk's
-endpoints are counted by one sort of int64 (walk source, endpoint) keys,
-which stay below 2^47 (2^16 rows times n < 2^31 columns).
+is O(n * FILTER_BLOCK) plus the operator) and an unbiased estimator of the
+untruncated (L -> infinity) filter (``filter_randomwalk``) for any rrz in
+[0, 1]. The estimator is bidirectional, as in GBP and FORA: it propagates
+the first L hops exactly and spends random walks only on the tail, whose
+mass is r = (1 - alpha)^(L + 1). Each node draws ceil(n_walks * r) walks
+that make L + 1 forced moves before their geometric ones, so the error
+shrinks as O(sqrt(r / n_walks)). The walks run for all nodes at once in
+chunks of at most ``WALK_CHUNK`` walks, each with its own RNG stream seeded
+by (seed, chunk index), so memory stays O(WALK_CHUNK + n * F) and the output
+is bit-identical across runs for a given seed. Each step gathers in place
+into the walk positions, and each chunk's endpoints are counted by one sort
+of int64 (walk source, endpoint) keys, which stay below 2^46 (2^15 rows
+times n < 2^31 columns).
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -32,7 +36,7 @@ from .errors import CacheMismatchError
 from .graph import CsrGraph, as_features, graph_hash
 
 # Walks advanced together by ``filter_randomwalk``; bounds its temporaries.
-WALK_CHUNK = 2 ** 16
+WALK_CHUNK = 2 ** 15
 
 # Feature columns propagated together by ``filter_exact``; bounds its temporaries.
 FILTER_BLOCK = 16
@@ -44,12 +48,16 @@ class FilterConfig:
 
     alpha    teleport probability in (0, 1); smaller alpha widens the
              receptive field of the filter.
-    hops     truncation depth L of the exact path; the discarded tail mass
-             is exactly (1 - alpha)^(L + 1).
+    hops     depth L of the exact propagation. The exact path truncates
+             there and discards the tail mass r = (1 - alpha)^(L + 1); the
+             random-walk path computes these hops exactly and estimates the
+             tail by walks, so a larger L leaves less to the walks.
     rrz      degree-normalization exponent in [0, 1] splitting D^(rrz-1) A D^(-rrz).
     r_max    estimator accuracy knob; when n_walks is not given the walk
              budget per node is ceil(1 / r_max).
-    n_walks  explicit Monte-Carlo walk budget per node (overrides r_max).
+    n_walks  explicit walk budget per node (overrides r_max). The random-walk
+             path draws max(1, ceil(budget * r)) walks per node for the tail,
+             about sqrt(r) times the error of the full budget of whole walks.
     """
 
     alpha: float = 0.1
@@ -142,15 +150,44 @@ def filter_exact(g: CsrGraph, x: np.ndarray, cfg: FilterConfig) -> np.ndarray:
 
 def filter_randomwalk(g: CsrGraph, x: np.ndarray, cfg: FilterConfig,
                       seed: int) -> np.ndarray:
-    """Monte-Carlo estimate of the untruncated filter, for any rrz in [0, 1].
+    """Estimate of the untruncated filter, for any rrz in [0, 1]: the first
+    ``cfg.hops`` hops exactly, the tail by random walks.
+
+    With L = ``cfg.hops`` and r = (1 - alpha)^(L + 1) the infinite sum splits
+    into the exact prefix sum_{l<=L} w_l T^l x (``filter_exact``) and the tail
+    r * T^(L+1) * sum_{m>=0} alpha (1 - alpha)^m T^m x. The tail is the
+    endpoint mixture of walks that make L + 1 forced moves and then stop with
+    probability alpha before each further move, so ``_walk_filter`` estimates
+    it without bias. Each node draws W = max(1, ceil(effective_n_walks * r))
+    such walks: the budget is spent in proportion to the residual mass r, as
+    in FORA's walk allocation. The prefix adds no error and the tail is
+    weighted by r, so the error is about sqrt(r) times that of the whole
+    budget spent on whole walks. Chunk c of the tail draws from the RNG
+    stream seeded by (seed, c), so the result is bit-identical across runs
+    for a given seed.
+    """
+    prefix = filter_exact(g, x, cfg)
+    forced = cfg.hops + 1
+    residual = (1.0 - cfg.alpha) ** forced
+    n_walks = max(1, math.ceil(cfg.effective_n_walks * residual))
+    tail = _walk_filter(g, x, replace(cfg, n_walks=n_walks), seed, forced)
+    tail *= residual
+    tail += prefix
+    return tail
+
+
+def _walk_filter(g: CsrGraph, x: np.ndarray, cfg: FilterConfig, seed: int,
+                 forced: int) -> np.ndarray:
+    """Monte-Carlo estimate of T^forced * sum_{l>=0} alpha (1 - alpha)^l T^l x
+    from ``cfg.effective_n_walks`` walks per node; at ``forced`` = 0 it is
+    the untruncated filter.
 
     With W = D^-1 A the uniform-neighbor transition matrix, the operator is
     T = D^rrz W D^-rrz, so T^l x = D^rrz W^l D^-rrz x and the geometric
     teleport mixture of T-powers equals the endpoint distribution of walks
-    that stop with probability alpha before each move. Per node u the
-    estimate averages deg_v^-rrz x_v over the endpoints v of
-    ``cfg.effective_n_walks`` walks and rescales by deg_u^rrz; it is unbiased
-    for the infinite-hop filter.
+    that stop with probability alpha before each move; ``forced`` moves are
+    added to every walk's geometric length. Per node u the estimate averages
+    deg_v^-rrz x_v over the walks' endpoints v and rescales by deg_u^rrz.
 
     All nodes walk together in chunks of at most ``WALK_CHUNK`` walks: a chunk
     holds whole nodes, or one node's walks split into near-equal parts when
@@ -158,10 +195,9 @@ def filter_randomwalk(g: CsrGraph, x: np.ndarray, cfg: FilterConfig,
     row offsets with ``take`` and writes the next positions straight into
     the walk array. Each chunk's endpoints are then folded into a sparse
     (chunk nodes x n) count matrix by sorting the keys src * n + endpoint
-    (below 2^47) and counting runs, and dropped, so temporaries stay
+    (below 2^46) and counting runs, and dropped, so temporaries stay
     O(WALK_CHUNK + n * F) whatever the budget. Chunk c draws from an RNG
-    stream seeded by (seed, c), so the result is bit-identical across runs
-    for a given seed.
+    stream seeded by (seed, c).
     """
     x = as_features(x)
     if x.shape[0] != g.n_nodes:
@@ -186,8 +222,9 @@ def filter_randomwalk(g: CsrGraph, x: np.ndarray, cfg: FilterConfig,
         for size in part_sizes:
             rng = np.random.default_rng([seed, chunk])
             chunk += 1
-            # number of moves before stopping: P(l) = alpha * (1 - alpha)^l
-            lengths = rng.geometric(cfg.alpha, size=(hi - lo) * size) - 1
+            # moves before stopping: P(l) = alpha * (1 - alpha)^(l - forced), l >= forced
+            lengths = rng.geometric(cfg.alpha, size=(hi - lo) * size)
+            lengths += forced - 1
             # stable order by length (a radix sort on the narrowest dtype), so
             # the walks still moving at step s are the tail pos[starts[s]:]
             order = np.argsort(lengths.astype(np.min_scalar_type(lengths.max())),
@@ -215,7 +252,7 @@ def _endpoint_mix(src: np.ndarray, pos: np.ndarray, n_rows: int, n: int,
 
     Sorting the keys src * n + pos groups each row's endpoints in column
     order; a run of equal keys is one endpoint and its length the count. The
-    keys stay below n_rows * n < 2^47 (n_rows <= WALK_CHUNK, n < 2^31).
+    keys stay below n_rows * n < 2^46 (n_rows <= WALK_CHUNK, n < 2^31).
     Consumes ``src``.
     """
     keys = src
@@ -237,7 +274,7 @@ def _endpoint_mix(src: np.ndarray, pos: np.ndarray, n_rows: int, n: int,
 # ---------------------------------------------------------------------------
 # filtered-feature cache
 
-_CACHE_VERSION = 2
+_CACHE_VERSION = 3
 
 
 def _features_sha256(x: np.ndarray) -> str:

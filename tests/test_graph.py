@@ -424,6 +424,21 @@ class TestRoundTrip:
         g.validate()
         assert int(g.degrees.sum()) == 2 * g.n_edges
 
+    def test_edge_list_bytes_match_line_loop(self, tmp_path):
+        # the former writer: one formatted line per edge; the graph spans
+        # several write blocks and ends inside one
+        g = rmat_generate(2000, 8, seed=4)
+        rows = np.repeat(np.arange(g.n_nodes, dtype=np.int64), g.degrees)
+        keep = rows < g.col_indices
+        with open(tmp_path / "loop.txt", "w") as fh:
+            for u, v in np.stack([rows[keep], g.col_indices[keep]], axis=1):
+                fh.write(f"{u} {v}\n")
+        save_edge_list(g, tmp_path / "e.txt")
+        written = (tmp_path / "e.txt").read_bytes()
+        assert written == (tmp_path / "loop.txt").read_bytes()
+        assert len(written.splitlines()) == int(keep.sum()) > 3 * graph_module.EDGE_WRITE_BLOCK
+        assert int(keep.sum()) % graph_module.EDGE_WRITE_BLOCK
+
     def test_augmented_not_serializable(self):
         g = augment_self_loops(disjoint_cliques(1, 3))
         with pytest.raises(ValueError):

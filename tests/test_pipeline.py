@@ -564,6 +564,15 @@ class TestCli:
         assert summary == want
         assert (out / "spectrum.csv").read_bytes() == (tmp_path / "ref" / "spectrum.csv").read_bytes()
 
+    def test_spectral_stage_exit_code(self, tmp_path, capsys):
+        # past the dense eigensolver's 3000-node limit
+        assert cli_main(["spectral", "--n-nodes", "3500", "--out", str(tmp_path / "s")]) == 10
+        assert "stage 'spectral' failed" in capsys.readouterr().err
+
+    def test_bench_stage_exit_code(self, tmp_path, capsys):
+        assert cli_main(["bench", "--sizes", "300,200", "--out", str(tmp_path / "b")]) == 9
+        assert "stage 'bench' failed: sizes must be strictly ascending" in capsys.readouterr().err
+
     def test_load_stage_exit_code(self, fixture_run_values, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("nonsense here\n")
