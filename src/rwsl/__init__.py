@@ -4,8 +4,7 @@ suite and a linear-scaling benchmark."""
 
 from .clustering import (ClusterState, hard_assign, kmeans, soft_assign,
                          target_distribution)
-from .filters import (FilterConfig, filter_exact, filter_randomwalk,
-                      ppr_weights, propagate_step)
+from .filters import FilterConfig, filter_exact, filter_randomwalk, ppr_weights
 from .graph import (CsrGraph, augment_self_loops, disjoint_cliques,
                     load_edge_list, rmat_generate)
 from .metrics import MetricReport, evaluate_all
@@ -23,7 +22,7 @@ __all__ = [
     "bench_scalability", "disjoint_cliques", "evaluate_all", "filter_exact",
     "filter_randomwalk", "hard_assign", "kmeans", "load_edge_list",
     "ppr_eigen_response", "ppr_weights", "pretrain_autoencoder",
-    "propagate_step", "rmat_generate", "run_pipeline", "soft_assign",
+    "rmat_generate", "run_pipeline", "soft_assign",
     "spectral_report", "sweep_alpha", "sweep_epsilon", "target_distribution",
     "train_rwsl", "verify_claim1", "verify_claim2", "__version__",
 ]

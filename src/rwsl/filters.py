@@ -114,14 +114,6 @@ def _propagation_matrix(g: CsrGraph, rrz: float) -> sp.csr_matrix:
                          shape=(g.n_nodes, g.n_nodes))
 
 
-def propagate_step(g: CsrGraph, x: np.ndarray, rrz: float) -> np.ndarray:
-    """One sparse propagation pass: y_u = sum_{v in N(u)} deg_u^(rrz-1) deg_v^(-rrz) x_v."""
-    x = as_features(x)
-    if x.shape[0] != g.n_nodes:
-        raise ValueError(f"feature rows {x.shape[0]} != n_nodes {g.n_nodes}")
-    return _propagation_matrix(g, rrz) @ x
-
-
 def filter_exact(g: CsrGraph, x: np.ndarray, cfg: FilterConfig) -> np.ndarray:
     """Truncated propagation sum: P = sum_{l=0..hops} w_l * T^l * x.
 

@@ -3,9 +3,11 @@ modularity and conductance.
 
 Label metrics compare a predicted clustering against ground-truth classes;
 matching-based ones (accuracy, macro-F1) first align cluster ids to class
-ids by maximum-weight assignment on the confusion matrix. Graph metrics
-(modularity, conductance) need only the topology (without self-loops) and
-the predicted assignment, and run in one vectorized pass over edges.
+ids by maximum-weight assignment on the confusion matrix, solved in-package
+(``_assignment``) so that importing rwsl never loads ``scipy.optimize``.
+Graph metrics (modularity, conductance) need only the topology (without
+self-loops) and the predicted assignment, and run in one vectorized pass
+over edges.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .graph import CsrGraph, as_labels
 
@@ -56,21 +57,82 @@ def _check_lengths(pred: np.ndarray, truth: np.ndarray):
 
 
 def _contingency(pred: np.ndarray, truth: np.ndarray) -> np.ndarray:
-    table = np.zeros((pred.max() + 1, truth.max() + 1), dtype=np.int64)
-    np.add.at(table, (pred, truth), 1)
-    return table
+    k_pred, k_truth = pred.max() + 1, truth.max() + 1
+    counts = np.bincount(pred * k_truth + truth, minlength=k_pred * k_truth)
+    return counts.reshape(k_pred, k_truth)
 
 
-def _optimal_mapping(pred: np.ndarray, truth: np.ndarray):
-    """Injective cluster->class mapping maximizing matched count.
+def _assignment(cost: np.ndarray) -> np.ndarray:
+    """Column for each row of a square cost matrix, minimizing the total cost.
 
-    The confusion matrix is zero-padded to square so extra clusters map to
+    Shortest augmenting paths with row and column potentials (Crouse 2016,
+    the method of ``scipy.optimize.linear_sum_assignment``): one path search
+    per row, each step vectorized over the columns not yet on the path;
+    O(k^3). Ties resolve as in scipy, so both return the same assignment:
+    the unvisited columns are scanned from a list that starts in reverse
+    order and drops each visited column by moving the last one into its
+    place, and among equally short paths the last free column scanned wins,
+    else the first column scanned.
+    """
+    n = cost.shape[0]
+    u = np.zeros(n)
+    v = np.zeros(n)
+    col4row = np.full(n, -1, dtype=np.intp)
+    row4col = np.full(n, -1, dtype=np.intp)
+    path = np.full(n, -1, dtype=np.intp)
+    for cur in range(n):
+        shortest = np.full(n, np.inf)
+        remaining = np.arange(n - 1, -1, -1)
+        left = n
+        rows, cols = [], []  # rows and columns the path search reached
+        min_val, i, sink = 0.0, cur, -1
+        while sink < 0:
+            rem = remaining[:left]
+            reach = min_val + cost[i, rem] - u[i] - v[rem]
+            better = reach < shortest[rem]
+            closer = rem[better]
+            path[closer] = i
+            shortest[closer] = reach[better]
+            dist = shortest[rem]
+            min_val = dist.min()
+            ties = np.flatnonzero(dist == min_val)
+            free = ties[row4col[rem[ties]] < 0]
+            at = free[-1] if len(free) else ties[0]
+            j = rem[at]
+            cols.append(j)
+            if row4col[j] < 0:
+                sink = j
+            else:
+                i = row4col[j]
+                rows.append(i)
+            left -= 1
+            remaining[at] = remaining[left]
+        # move the potentials so every edge on the new path has zero reduced cost
+        u[cur] += min_val
+        rows, cols = np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)
+        u[rows] += min_val - shortest[col4row[rows]]
+        v[cols] -= min_val - shortest[cols]
+        # flip the alternating path back from the sink to the current row
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    return col4row
+
+
+def _optimal_mapping(table: np.ndarray):
+    """Injective cluster->class mapping maximizing the matched count of a
+    contingency table (clusters x classes).
+
+    The table is zero-padded to square so extra clusters map to
     fictitious classes. Ties in the matched count are broken toward the
     higher per-pair F1 sum, which makes the downstream macro-F1 value
     independent of how the input happens to be labeled. Returns
     (mapping array over pred ids, matched count).
     """
-    table = _contingency(pred, truth)
     size = max(table.shape)
     padded = np.zeros((size, size), dtype=np.int64)
     padded[: table.shape[0], : table.shape[1]] = table
@@ -79,16 +141,14 @@ def _optimal_mapping(pred: np.ndarray, truth: np.ndarray):
                         where=sums > 0)
     # secondary term stays < 1 in total, so the matched count still dominates
     score = padded + pair_f1 / (2.0 * size + 2.0)
-    rows, cols = linear_sum_assignment(-score)
-    mapping = np.empty(size, dtype=np.int64)
-    mapping[rows] = cols
-    return mapping, int(padded[rows, cols].sum())
+    mapping = _assignment(-score)
+    return mapping, int(padded[np.arange(size), mapping].sum())
 
 
 def accuracy(pred, truth) -> float:
     """Fraction matched under the best injective cluster-to-class mapping."""
     pred, truth = _check_lengths(pred, truth)
-    _, matched = _optimal_mapping(pred, truth)
+    _, matched = _optimal_mapping(_contingency(pred, truth))
     return matched / len(pred)
 
 
@@ -103,17 +163,9 @@ def _identical_partitions(table: np.ndarray) -> bool:
     return bool(rows_ok and cols_ok)
 
 
-def nmi(pred, truth) -> float:
-    """Mutual information normalized by the arithmetic mean of entropies.
-
-    Identical partitions (up to relabeling) score 1; a zero-entropy side
-    against a non-identical partition scores 0.
-    """
-    pred, truth = _check_lengths(pred, truth)
-    table = _contingency(pred, truth)
+def _nmi(table: np.ndarray, n: int) -> float:
     if _identical_partitions(table):
         return 1.0
-    n = len(pred)
     a = table.sum(axis=1)
     b = table.sum(axis=0)
     h_pred = _entropy(a, n)
@@ -127,18 +179,24 @@ def nmi(pred, truth) -> float:
     return float(np.clip(mi / (0.5 * (h_pred + h_truth)), 0.0, 1.0))
 
 
+def nmi(pred, truth) -> float:
+    """Mutual information normalized by the arithmetic mean of entropies.
+
+    Identical partitions (up to relabeling) score 1; a zero-entropy side
+    against a non-identical partition scores 0.
+    """
+    pred, truth = _check_lengths(pred, truth)
+    return _nmi(_contingency(pred, truth), len(pred))
+
+
 def _pairs(x) -> np.ndarray:
     x = np.asarray(x, dtype=np.int64)
     return x * (x - 1) // 2
 
 
-def ari(pred, truth) -> float:
-    """Adjusted Rand index via pair counting."""
-    pred, truth = _check_lengths(pred, truth)
-    n = len(pred)
+def _ari(table: np.ndarray, n: int) -> float:
     if n < 2:
         raise ValueError("ARI needs at least 2 samples")
-    table = _contingency(pred, truth)
     index = int(_pairs(table).sum())
     sum_a = int(_pairs(table.sum(axis=1)).sum())
     sum_b = int(_pairs(table.sum(axis=0)).sum())
@@ -151,6 +209,30 @@ def ari(pred, truth) -> float:
     return numerator / denominator
 
 
+def ari(pred, truth) -> float:
+    """Adjusted Rand index via pair counting."""
+    pred, truth = _check_lengths(pred, truth)
+    return _ari(_contingency(pred, truth), len(pred))
+
+
+def _macro_f1(table: np.ndarray, mapping: np.ndarray) -> float:
+    """Mean over classes of the F1 of the cluster mapped to each class,
+    read off the contingency table; a class with no true positive scores 0."""
+    k_pred, k_truth = table.shape
+    padded = np.zeros((len(mapping), k_truth), dtype=np.int64)
+    padded[:k_pred] = table
+    cluster = np.argsort(mapping)[:k_truth]  # the cluster matched to each class
+    tp = padded[cluster, np.arange(k_truth)]
+    n_pred = padded.sum(axis=1)[cluster]
+    n_true = table.sum(axis=0)
+    hit = tp > 0
+    precision = tp[hit] / n_pred[hit]
+    recall = tp[hit] / n_true[hit]
+    scores = np.zeros(k_truth)
+    scores[hit] = 2.0 * precision * recall / (precision + recall)
+    return float(np.mean(scores))
+
+
 def macro_f1(pred, truth) -> float:
     """Macro-averaged F1 after aligning clusters to classes.
 
@@ -158,21 +240,9 @@ def macro_f1(pred, truth) -> float:
     classes with zero precision and recall contribute an F1 of 0.
     """
     pred, truth = _check_lengths(pred, truth)
-    mapping, _ = _optimal_mapping(pred, truth)
-    relabeled = mapping[pred]
-    k_truth = truth.max() + 1
-    scores = []
-    for c in range(k_truth):
-        tp = np.count_nonzero((relabeled == c) & (truth == c))
-        n_pred = np.count_nonzero(relabeled == c)
-        n_true = np.count_nonzero(truth == c)
-        if tp == 0:
-            scores.append(0.0)
-            continue
-        precision = tp / n_pred
-        recall = tp / n_true
-        scores.append(2.0 * precision * recall / (precision + recall))
-    return float(np.mean(scores))
+    table = _contingency(pred, truth)
+    mapping, _ = _optimal_mapping(table)
+    return _macro_f1(table, mapping)
 
 
 def _edge_label_views(g: CsrGraph, assignment: np.ndarray):
@@ -245,13 +315,17 @@ def conductance(g: CsrGraph, assignment) -> float:
 
 def evaluate_all(g: CsrGraph, pred, truth) -> MetricReport:
     """All six metrics for a predicted assignment against ground truth; the
-    graph metrics share one pass over the edges."""
+    label metrics share one contingency table and one matching, the graph
+    metrics one pass over the edges."""
     assignment, internal, cut = _cluster_edge_counts(g, pred)
+    pred, truth = _check_lengths(pred, truth)
+    table = _contingency(pred, truth)
+    mapping, matched = _optimal_mapping(table)
     return MetricReport(
-        accuracy=accuracy(pred, truth),
-        nmi=nmi(pred, truth),
-        ari=ari(pred, truth),
-        macro_f1=macro_f1(pred, truth),
+        accuracy=matched / len(pred),
+        nmi=_nmi(table, len(pred)),
+        ari=_ari(table, len(pred)),
+        macro_f1=_macro_f1(table, mapping),
         modularity=_modularity(g, assignment, internal),
         conductance=_conductance(g, assignment, cut),
     )

@@ -7,7 +7,7 @@ from rwsl.errors import CacheMismatchError
 from rwsl.filters import (FILTER_BLOCK, WALK_CHUNK, FilterConfig, _propagation_matrix,
                           _walk_filter, filter_exact, filter_randomwalk,
                           filtered_cache_header, load_filtered_cache, ppr_weights,
-                          propagate_step, save_filtered_cache)
+                          save_filtered_cache)
 from rwsl.graph import augment_self_loops, disjoint_cliques, from_edge_array, rmat_generate
 from rwsl.spectral import dense_propagation_matrix
 
@@ -127,31 +127,33 @@ class TestConfig:
 
 
 class TestPropagateStep:
+    """One propagation pass is the sparse operator applied to the features."""
+
     def test_lone_node_identity(self):
         g = lone_node()
         x = np.array([[3.0, -2.0]])
         for rrz in (0.0, 0.4, 0.5, 1.0):
-            assert np.allclose(propagate_step(g, x, rrz), x)
+            assert np.allclose(_propagation_matrix(g, rrz) @ x, x)
 
     def test_symmetric_case_matches_dense(self):
         g = path3()
         x = np.eye(3)
         dense = dense_propagation_matrix(g)
-        assert np.allclose(propagate_step(g, x, 0.5), dense @ x, atol=1e-15)
+        assert np.allclose(_propagation_matrix(g, 0.5) @ x, dense @ x, atol=1e-15)
 
     def test_row_stochastic_at_rrz_zero(self):
         g = path3()
-        y = propagate_step(g, np.eye(3), 0.0)
+        y = _propagation_matrix(g, 0.0) @ np.eye(3)
         assert np.allclose(y.sum(axis=1), 1.0)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            propagate_step(path3(), np.ones((2, 2)), 0.5)
+            _propagation_matrix(path3(), 0.5) @ np.ones((2, 2))
 
     def test_requires_augmented(self):
         g = from_edge_array(3, np.array([0, 1]), np.array([1, 2]))
         with pytest.raises(ValueError):
-            propagate_step(g, np.eye(3), 0.5)
+            _propagation_matrix(g, 0.5) @ np.eye(3)
 
 
 def propagation_matrix_reference(g, rrz):
@@ -232,11 +234,12 @@ class TestFilterExact:
         g = path3()
         x = np.random.default_rng(2).random((3, 2))
         cfg = FilterConfig(alpha=0.2, hops=6, rrz=0.4)
+        op = _propagation_matrix(g, 0.4)
         acc = np.zeros_like(x)
         cur = x.copy()
         for l, w in enumerate(ppr_weights(0.2, 6)):
             if l > 0:
-                cur = propagate_step(g, cur, 0.4)
+                cur = op @ cur
             acc += w * cur
         assert np.allclose(filter_exact(g, x, cfg), acc, atol=1e-14)
 

@@ -1,14 +1,22 @@
+import importlib.util
+import os
+import subprocess
+import sys
 from itertools import permutations, product
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import rwsl
 from rwsl.graph import disjoint_cliques, from_edge_array
-from rwsl.metrics import (MetricReport, accuracy, ari, conductance,
-                          evaluate_all, macro_f1, modularity, nmi)
+from rwsl.metrics import (MetricReport, _assignment, _contingency, _optimal_mapping,
+                          accuracy, ari, conductance, evaluate_all, macro_f1,
+                          modularity, nmi)
 
-sklearn_metrics = pytest.importorskip("sklearn.metrics", reason="sklearn cross-checks")
+needs_sklearn = pytest.mark.skipif(importlib.util.find_spec("sklearn") is None,
+                                   reason="sklearn cross-checks")
 
 
 def accuracy_oracle(pred, truth):
@@ -62,6 +70,99 @@ class TestAccuracy:
             accuracy([0, 1], [0])
 
 
+def scipy_accuracy_macro_f1(pred, truth):
+    """Accuracy and macro-F1 with the matching solved by scipy's
+    ``linear_sum_assignment`` on the same tie-broken score, and the per-class
+    F1 counted over the relabeled nodes."""
+    from scipy.optimize import linear_sum_assignment
+    pred, truth = np.asarray(pred), np.asarray(truth)
+    table = np.zeros((pred.max() + 1, truth.max() + 1), dtype=np.int64)
+    np.add.at(table, (pred, truth), 1)
+    size = max(table.shape)
+    padded = np.zeros((size, size), dtype=np.int64)
+    padded[: table.shape[0], : table.shape[1]] = table
+    sums = padded.sum(axis=1)[:, None] + padded.sum(axis=0)[None, :]
+    pair_f1 = np.divide(2.0 * padded, sums, out=np.zeros((size, size)), where=sums > 0)
+    rows, cols = linear_sum_assignment(-(padded + pair_f1 / (2.0 * size + 2.0)))
+    relabeled = cols[pred]
+    scores = []
+    for c in range(truth.max() + 1):
+        tp = np.count_nonzero((relabeled == c) & (truth == c))
+        if tp == 0:
+            scores.append(0.0)
+            continue
+        precision = tp / np.count_nonzero(relabeled == c)
+        recall = tp / np.count_nonzero(truth == c)
+        scores.append(2.0 * precision * recall / (precision + recall))
+    return padded[rows, cols].sum() / len(pred), float(np.mean(scores))
+
+
+class TestAssignment:
+    """The in-package solver against scipy's ``linear_sum_assignment``."""
+
+    @staticmethod
+    def check(cost):
+        from scipy.optimize import linear_sum_assignment
+        cols = _assignment(cost)
+        k = len(cost)
+        assert np.array_equal(np.sort(cols), np.arange(k))
+        rows, want = linear_sum_assignment(cost)
+        got_total = cost[np.arange(k), cols].sum()
+        assert abs(got_total - cost[rows, want].sum()) <= 1e-9 * max(1.0, abs(got_total))
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_random_float(self, k):
+        rng = np.random.default_rng(k)
+        for _ in range(20):
+            self.check(rng.normal(size=(k, k)))
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_tied_small_integers(self, k):
+        rng = np.random.default_rng(100 + k)
+        for high in (1, 2, 3):
+            for _ in range(10):
+                self.check(rng.integers(0, high, size=(k, k)).astype(np.float64))
+
+    def test_paper_label_count(self):
+        rng = np.random.default_rng(172)
+        self.check(rng.random((172, 172)))
+        self.check(-rng.integers(0, 50, size=(172, 172)).astype(np.float64))
+
+    @pytest.mark.parametrize("k_pred,k_truth", [(1, 5), (5, 1), (3, 7), (9, 4), (12, 12)])
+    def test_rectangular_label_sets(self, k_pred, k_truth):
+        rng = np.random.default_rng(k_pred * 13 + k_truth)
+        for _ in range(10):
+            pred = rng.integers(0, k_pred, size=200)
+            truth = rng.integers(0, k_truth, size=200)
+            mapping, matched = _optimal_mapping(_contingency(pred, truth))
+            size = max(pred.max(), truth.max()) + 1
+            assert np.array_equal(np.sort(mapping), np.arange(size))
+            want, _ = scipy_accuracy_macro_f1(pred, truth)
+            assert matched / len(pred) == want
+
+
+class TestScipyBackedValues:
+    @given(st.integers(0, 10_000), st.integers(1, 9), st.integers(1, 9))
+    @settings(max_examples=60)
+    def test_accuracy_and_macro_f1(self, seed, k_pred, k_truth):
+        rng = np.random.default_rng(seed)
+        pred = rng.integers(0, k_pred, size=40)
+        truth = rng.integers(0, k_truth, size=40)
+        want_acc, want_f1 = scipy_accuracy_macro_f1(pred, truth)
+        assert accuracy(pred, truth) == want_acc
+        assert macro_f1(pred, truth) == want_f1
+
+    def test_import_leaves_scipy_optimize_out(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(rwsl.__file__).parents[1]), env.get("PYTHONPATH", "")])
+        code = ("import sys, rwsl, rwsl.cli, rwsl.pipeline; "
+                "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize imported'")
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
+
 class TestNmi:
     def test_identical(self):
         assert nmi([0, 1, 1, 2], [0, 1, 1, 2]) == 1.0
@@ -76,13 +177,15 @@ class TestNmi:
     def test_both_constant(self):
         assert nmi([0, 0], [1, 1]) == 1.0
 
+    @needs_sklearn
     @given(st.integers(0, 10_000))
     @settings(max_examples=40)
     def test_matches_sklearn(self, seed):
+        from sklearn.metrics import normalized_mutual_info_score
         rng = np.random.default_rng(seed)
         pred = rng.integers(0, 4, size=30)
         truth = rng.integers(0, 3, size=30)
-        want = sklearn_metrics.normalized_mutual_info_score(truth, pred)
+        want = normalized_mutual_info_score(truth, pred)
         assert nmi(pred, truth) == pytest.approx(want, abs=1e-9)
 
 
@@ -103,13 +206,15 @@ class TestAri:
         with pytest.raises(ValueError):
             ari([0], [0])
 
+    @needs_sklearn
     @given(st.integers(0, 10_000))
     @settings(max_examples=40)
     def test_matches_sklearn(self, seed):
+        from sklearn.metrics import adjusted_rand_score
         rng = np.random.default_rng(seed)
         pred = rng.integers(0, 3, size=25)
         truth = rng.integers(0, 4, size=25)
-        want = sklearn_metrics.adjusted_rand_score(truth, pred)
+        want = adjusted_rand_score(truth, pred)
         assert ari(pred, truth) == pytest.approx(want, abs=1e-9)
 
 
