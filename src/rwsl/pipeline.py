@@ -204,12 +204,18 @@ class PipelineOutcome:
 
 def filter_features(g_aug: CsrGraph, x_raw: np.ndarray, cfg: FilterConfig, *,
                     method: str = "exact", seed: int = 0,
-                    cache_path: Path | None = None) -> np.ndarray:
+                    cache_path: Path | None = None, share: dict | None = None) -> np.ndarray:
     """Filter ``x_raw`` on the self-loop-augmented graph with ``method``.
 
     With a ``cache_path`` the exact filter reuses the cache written there
     when its header matches these inputs, and otherwise recomputes and
     rewrites it (logging why a stale or unreadable cache was rejected).
+
+    ``share`` is a dict that the runs of one sweep pass here, all with the
+    same graph and features. It holds the last exact result, read-only, with
+    its cache header. A call with the same ``cfg`` writes both to its own
+    ``cache_path`` instead of filtering again; any other exact call
+    empties it first, so it never holds more than one matrix.
     """
     if method == "randomwalk":
         return filter_randomwalk(g_aug, x_raw, cfg, seed)
@@ -217,17 +223,27 @@ def filter_features(g_aug: CsrGraph, x_raw: np.ndarray, cfg: FilterConfig, *,
         raise ValueError(f"unknown filter_method {method!r}")
     if cache_path is None:
         return filter_exact(g_aug, x_raw, cfg)
+    if share is not None:
+        if share.get("cfg") == cfg:
+            save_filtered_cache(cache_path, share["values"], g_aug, cfg, features=x_raw,
+                                header=share["header"])
+            return share["values"]
+        share.clear()
     header = filtered_cache_header(g_aug, cfg, x_raw)
+    xf = None
     if cache_path.exists():
         try:
-            return load_filtered_cache(cache_path, g_aug, cfg, features=x_raw,
-                                       header=header)
+            xf = load_filtered_cache(cache_path, g_aug, cfg, features=x_raw, header=header)
         except (CacheMismatchError, OSError, KeyError, ValueError) as exc:
             # stale or unreadable: recompute below
             logging.getLogger(__name__).warning(
                 "rejected filtered-feature cache %s: %s: %s", cache_path, type(exc).__name__, exc)
-    xf = filter_exact(g_aug, x_raw, cfg)
-    save_filtered_cache(cache_path, xf, g_aug, cfg, features=x_raw, header=header)
+    if xf is None:
+        xf = filter_exact(g_aug, x_raw, cfg)
+        save_filtered_cache(cache_path, xf, g_aug, cfg, features=x_raw, header=header)
+    if share is not None:
+        xf.flags.writeable = False
+        share.update(cfg=cfg, values=xf, header=header)
     return xf
 
 
@@ -244,7 +260,14 @@ def run_pipeline(cfg: RunConfig, *, filtered=None, ae_checkpoint=None,
     this run's graph, features, filter options and seed) replaces the filter
     stage, and ``ae_checkpoint`` (a checkpoint holding an encoder and a
     decoder) replaces pretraining; the manifest records the sha256 of each
-    under ``inputs``. ``_data`` lets the sweeps inject pre-loaded inputs.
+    under ``inputs``.
+
+    ``_data`` is how a sweep passes its sub-runs what they share:
+    ``(graph, raw features, labels, share)``, loaded once, where ``share`` is
+    the sweep's filter share (see ``filter_features``). Sub-runs whose exact
+    filter options are equal then filter once per sweep; each still writes
+    and lists its own ``filtered.npz``, and trains on the shared read-only
+    matrix.
 
     The run drops its reference to the raw features once nothing after the
     filter stage reads them (``ae_input = "filtered"``, and a filter that is
@@ -258,8 +281,9 @@ def run_pipeline(cfg: RunConfig, *, filtered=None, ae_checkpoint=None,
         g_plain = run_stage("load", load_edge_list, cfg.edges, cfg.n_nodes)
         x_raw = run_stage("load", load_features, cfg.features)
         labels = run_stage("load", load_labels, cfg.labels) if cfg.labels else None
+        share = None
     else:
-        g_plain, x_raw, labels = _data
+        g_plain, x_raw, labels, share = _data
     if x_raw.shape[0] != g_plain.n_nodes or (labels is not None
                                              and len(labels) != g_plain.n_nodes):
         raise PipelineStageError("load", ValueError("row counts disagree with n_nodes"))
@@ -287,7 +311,8 @@ def run_pipeline(cfg: RunConfig, *, filtered=None, ae_checkpoint=None,
     for seed in seeds:
         if x_filtered is None or refilter:
             x_filtered = run_stage("filter", filter_features, g_aug, x_raw, cfg.filter,
-                                   method=cfg.filter_method, seed=seed, cache_path=cache_path)
+                                   method=cfg.filter_method, seed=seed, cache_path=cache_path,
+                                   share=share)
         if not keep_raw:
             x_raw = None
         train_cfg = replace(cfg.train, seed=seed)
@@ -360,17 +385,27 @@ class SweepResult:
 
 
 def _sweep(cfg: RunConfig, parameter: str, values, make_cfg) -> SweepResult:
+    """One ``run_pipeline`` per value into ``<out>/<parameter>_<value>``, on
+    inputs loaded once and with one filter share (see ``filter_features``),
+    then the long CSV. The values are checked before anything is loaded."""
+    if not values:
+        raise ValueError(f"a {parameter} sweep needs at least one value")
+    if len(set(values)) != len(values):
+        raise ValueError(f"{parameter} values repeat: {values}")
+    if not cfg.labels:
+        raise ValueError("a sweep needs labels: its CSV holds the metrics of each value")
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     g_plain = run_stage("load", load_edge_list, cfg.edges, cfg.n_nodes)
     x_raw = run_stage("load", load_features, cfg.features)
-    labels = run_stage("load", load_labels, cfg.labels) if cfg.labels else None
+    labels = run_stage("load", load_labels, cfg.labels)
+    share = {}
     summaries = []
     for value in values:
         sub = make_cfg(cfg, value)
         sub = replace(sub, out=str(out_dir / f"{parameter}_{value}"))
         # keep only the summary: the outcome also holds that run's models
-        summaries.append(run_pipeline(sub, _data=(g_plain, x_raw, labels)).summary)
+        summaries.append(run_pipeline(sub, _data=(g_plain, x_raw, labels, share)).summary)
     csv_path = out_dir / f"sweep_{parameter}.csv"
     with open(csv_path, "w") as fh:
         fh.write(f"{parameter},metric,mean,std\n")
@@ -382,7 +417,14 @@ def _sweep(cfg: RunConfig, parameter: str, values, make_cfg) -> SweepResult:
 
 
 def sweep_epsilon(cfg: RunConfig, values) -> SweepResult:
-    """One pipeline per blend weight; emits sweep_epsilon.csv."""
+    """One pipeline per blend weight; emits sweep_epsilon.csv.
+
+    The filter does not depend on epsilon, so an exact-filter sweep filters
+    once: every sub-run trains on that one read-only matrix and writes it to
+    its own ``filtered.npz``. A random-walk sweep still filters per sub-run
+    and seed.
+    """
+    values = list(values)
     for v in values:
         if not 0.0 <= v <= 1.0:
             raise ValueError(f"epsilon {v} outside [0, 1]")
@@ -392,6 +434,7 @@ def sweep_epsilon(cfg: RunConfig, values) -> SweepResult:
 
 def sweep_alpha(cfg: RunConfig, values) -> SweepResult:
     """One pipeline per teleport probability (features re-filtered each time)."""
+    values = list(values)
     for v in values:
         if not 0.0 < v < 1.0:
             raise ValueError(f"alpha {v} outside (0, 1)")

@@ -334,6 +334,101 @@ class TestSweeps:
         with pytest.raises(ValueError):
             sweep_alpha(cfg, [0.0])
 
+    @pytest.mark.parametrize("sweep, values, calls", [
+        (sweep_epsilon, [0.0, 0.5, 1.0], 1),
+        (sweep_alpha, [0.1, 0.5], 2),
+    ])
+    def test_exact_filter_runs_once_per_filter_config(self, sweep, values, calls,
+                                                      fixture_run_values, monkeypatch):
+        import rwsl.pipeline as pl
+        counted = []
+
+        def counting(*args):
+            counted.append(args)
+            return filter_exact(*args)
+
+        monkeypatch.setattr(pl, "filter_exact", counting)
+        cfg = resolve_run_config({**fixture_run_values, "n_epochs": 40,
+                                  "pretrain_n_epochs": 30})
+        sweep(cfg, values)
+        assert len(counted) == calls
+
+    def test_epsilon_sub_runs_match_standalone_runs(self, fixture_run_values, tmp_path):
+        cfg = resolve_run_config({**fixture_run_values, "n_epochs": 40,
+                                  "pretrain_n_epochs": 30})
+        values = [0.0, 0.5, 1.0]
+        sweep_epsilon(cfg, values)
+        for value in values:
+            swept = Path(cfg.out) / f"epsilon_{value}"
+            alone = tmp_path / f"alone_{value}"
+            run_pipeline(replace(cfg, out=str(alone),
+                                 train=replace(cfg.train, epsilon=value)))
+            for name in ("filtered.npz", "metrics.json", "assignments.txt"):
+                assert (swept / name).read_bytes() == (alone / name).read_bytes(), (value, name)
+            listed = json.loads((swept / "manifest.json").read_text())["artifacts"]
+            assert listed["filtered.npz"] == _sha256(swept / "filtered.npz")
+
+    def test_swept_filtered_matrix_is_read_only(self, fixture_run_values, monkeypatch):
+        import rwsl.pipeline as pl
+        writeable = []
+
+        def training(g, x_filtered, *args, **kwargs):
+            writeable.append(x_filtered.flags.writeable)
+            return train_rwsl(g, x_filtered, *args, **kwargs)
+
+        monkeypatch.setattr(pl, "train_rwsl", training)
+        cfg = resolve_run_config({**fixture_run_values, "n_epochs": 40,
+                                  "pretrain_n_epochs": 30})
+        sweep_epsilon(cfg, [0.0, 1.0])
+        assert writeable == [False, False]
+
+    def test_stale_cache_in_later_sub_run_replaced(self, fixture_run_values):
+        cfg = resolve_run_config({**fixture_run_values, "n_epochs": 40,
+                                  "pretrain_n_epochs": 30})
+        g_aug = augment_self_loops(load_edge_list(cfg.edges, cfg.n_nodes))
+        x = load_features(cfg.features)
+        stale = Path(cfg.out) / "epsilon_1.0" / "filtered.npz"
+        stale.parent.mkdir(parents=True)
+        save_filtered_cache(stale, x, g_aug, cfg.filter, 2 * x)
+        sweep_epsilon(cfg, [0.0, 1.0])
+        assert np.array_equal(load_filtered_cache(stale, g_aug, cfg.filter, features=x),
+                              filter_exact(g_aug, x, cfg.filter))
+
+    def test_randomwalk_epsilon_sweep_filters_per_run_and_seed(self, fixture_run_values,
+                                                              monkeypatch):
+        import rwsl.pipeline as pl
+        from rwsl.filters import filter_randomwalk
+        seeds = []
+
+        def walking(g, x, cfg, seed):
+            seeds.append(seed)
+            return filter_randomwalk(g, x, cfg, seed)
+
+        monkeypatch.setattr(pl, "filter_randomwalk", walking)
+        cfg = resolve_run_config({**fixture_run_values, "filter_method": "randomwalk",
+                                  "rrz": 0.5, "n_walks": 200, "repeat": 2,
+                                  "n_epochs": 20, "pretrain_n_epochs": 10})
+        sweep_epsilon(cfg, [0.0, 1.0])
+        assert seeds == [0, 1, 0, 1]
+
+    @pytest.mark.parametrize("values, changes", [
+        ([], {}),
+        ([0.5, 0.5], {}),
+        ([0.0, 1.0], {"labels": ""}),
+    ], ids=["empty", "repeated", "no-labels"])
+    def test_bad_sweep_arguments_rejected_before_loading(self, values, changes,
+                                                         fixture_run_values, monkeypatch):
+        import rwsl.pipeline as pl
+
+        def loading(*args):
+            raise AssertionError("loaded inputs for a sweep that cannot run")
+
+        monkeypatch.setattr(pl, "load_edge_list", loading)
+        cfg = resolve_run_config({**fixture_run_values, **changes})
+        with pytest.raises(ValueError):
+            sweep_epsilon(cfg, values)
+        assert list(Path(cfg.out).glob("**/*.csv")) == []
+
 
 class TestBench:
     def test_empty_sizes(self):
