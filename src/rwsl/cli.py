@@ -16,16 +16,15 @@ from dataclasses import MISSING
 from pathlib import Path
 
 from .errors import PipelineStageError, run_stage
-from .filters import save_filtered_cache
+from .filters import filtered_cache_header, save_filtered_cache
 from .graph import (augment_self_loops, load_edge_list, load_features,
                     load_labels, rmat_generate, save_features)
 from .metrics import evaluate_all
 from .pipeline import (bench_fit_lines, bench_rows_to_csv, bench_scalability,
                        config_fields, filter_features, load_config_file,
                        resolve_run_config, run_pipeline, spectral_run,
-                       split_config, sweep_alpha, sweep_epsilon,
-                       write_distribution_csv, write_metric_report_csv,
-                       write_metric_report_json)
+                       split_config, sweep_alpha, sweep_epsilon, write_csv,
+                       write_json, write_metric_report_csv)
 from .training import pretrain_autoencoder, save_checkpoint
 
 # argparse type per config field annotation; other annotations take a string
@@ -66,15 +65,14 @@ def _cmd_filter(args) -> int:
     values = _collect_config(args)
     _require(values, ("edges", "n_nodes", "features", "out"))
     run, filter_cfg, train_cfg = run_stage("config", split_config, values)
-    method, seed = run.get("filter_method", "exact"), train_cfg.seed
     out_dir = Path(run["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
     g = run_stage("load", load_edge_list, run["edges"], run["n_nodes"])
     x = run_stage("load", load_features, run["features"])
     g = run_stage("filter", augment_self_loops, g)
-    xf = run_stage("filter", filter_features, g, x, filter_cfg, method=method, seed=seed)
-    run_stage("write", save_filtered_cache, out_dir / "filtered.npz", xf, g, filter_cfg,
-              method=method, features=x, seed=seed)
+    xf = run_stage("filter", filter_features, g, x, filter_cfg, seed=train_cfg.seed)
+    header = filtered_cache_header(g, filter_cfg, x, seed=train_cfg.seed)
+    run_stage("write", save_filtered_cache, out_dir / "filtered.npz", xf, header)
     if args.text:
         run_stage("write", save_features, xf, out_dir / "filtered.txt")
     print(f"filtered {xf.shape[0]}x{xf.shape[1]} -> {out_dir / 'filtered.npz'}")
@@ -111,8 +109,9 @@ def _cmd_train(args) -> int:
     outcome = run_pipeline(cfg, filtered=args.filtered, ae_checkpoint=args.ae_checkpoint)
     if args.export_distributions:
         for name in ("p_h", "p_z"):
-            run_stage("write", write_distribution_csv, getattr(outcome.result, name),
-                      outcome.out_dir / f"{name}.csv")
+            matrix = getattr(outcome.result, name)
+            run_stage("write", write_csv, outcome.out_dir / f"{name}.csv",
+                      [f"cluster_{j}" for j in range(matrix.shape[1])], matrix)
     if outcome.summary is not None:
         print(json.dumps(outcome.summary["mean"]))
     print(f"assignments -> {outcome.out_dir / 'assignments.txt'}")
@@ -130,7 +129,7 @@ def _cmd_eval(args) -> int:
     report = evaluate_all(g_plain, pred, labels)
     out_dir = Path(values["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_metric_report_json(report, out_dir / "metrics.json")
+    write_json(out_dir / "metrics.json", report.as_dict())
     write_metric_report_csv([report.as_dict()], out_dir / "metrics.csv")
     print(json.dumps(report.as_dict()))
     return 0
@@ -149,8 +148,9 @@ def _cmd_sweep(args, which: str) -> int:
     values = _collect_config(args)
     _require(values, ("edges", "n_nodes", "features", "labels", "k", "out"))
     cfg = run_stage("config", resolve_run_config, values)
-    sweep_values = _float_list(args.values)
-    result = (sweep_epsilon if which == "epsilon" else sweep_alpha)(cfg, sweep_values)
+    sweep = sweep_epsilon if which == "epsilon" else sweep_alpha
+    # the sweep's stages keep their codes; only the value checks are untagged
+    result = run_stage("config", lambda: sweep(cfg, _float_list(args.values)))
     print(f"sweep CSV -> {result.csv_path}")
     return 0
 

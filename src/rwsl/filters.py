@@ -58,6 +58,7 @@ class FilterConfig:
     n_walks  explicit walk budget per node (overrides r_max). The random-walk
              path draws max(1, ceil(budget * r)) walks per node for the tail,
              about sqrt(r) times the error of the full budget of whole walks.
+    filter_method  "exact" (``filter_exact``) or "randomwalk" (``filter_randomwalk``).
     """
 
     alpha: float = 0.1
@@ -65,6 +66,7 @@ class FilterConfig:
     rrz: float = 0.4
     r_max: float = 1e-5
     n_walks: Optional[int] = None
+    filter_method: str = "exact"
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
@@ -77,6 +79,8 @@ class FilterConfig:
             raise ValueError("r_max must be positive")
         if self.n_walks is not None and self.n_walks < 1:
             raise ValueError("n_walks must be >= 1")
+        if self.filter_method not in ("exact", "randomwalk"):
+            raise ValueError("filter_method must be 'exact' or 'randomwalk'")
 
     @property
     def effective_n_walks(self) -> int:
@@ -277,11 +281,11 @@ def _features_sha256(x: np.ndarray) -> str:
     return h.hexdigest()
 
 
-def filtered_cache_header(g: CsrGraph, cfg: FilterConfig, features: np.ndarray,
-                          method: str = "exact", *, seed: Optional[int] = None) -> dict:
-    """The header that pins a filtered-feature cache to its inputs. It hashes
-    ``features`` and the graph, so a caller that both loads and saves a cache
-    computes it once and passes it to both as ``header``.
+def filtered_cache_header(g: CsrGraph, cfg: FilterConfig, features: np.ndarray, *,
+                          seed: Optional[int] = None) -> dict:
+    """The header that pins a filtered-feature cache to its inputs: the
+    filter options, the graph and the unfiltered ``features``, which it
+    hashes, so a caller that both loads and saves a cache builds it once.
 
     A random-walk estimate also depends on its ``seed``, which only that
     method's header records (and requires); an exact header has no seed.
@@ -293,44 +297,34 @@ def filtered_cache_header(g: CsrGraph, cfg: FilterConfig, features: np.ndarray,
         "rrz": cfg.rrz,
         "r_max": cfg.r_max,
         "n_walks": cfg.n_walks,
-        "method": method,
+        "method": cfg.filter_method,
         "graph_hash": graph_hash(g),
         "features_sha256": _features_sha256(features),
     }
-    if method == "randomwalk":
+    if cfg.filter_method == "randomwalk":
         if seed is None:
             raise ValueError("a random-walk cache header needs the walk seed")
         header["seed"] = int(seed)
     return header
 
 
-def save_filtered_cache(path, values: np.ndarray, g: CsrGraph, cfg: FilterConfig,
-                        features: np.ndarray, method: str = "exact", *,
-                        header: Optional[dict] = None, seed: Optional[int] = None) -> None:
-    """Persist filtered features with a header that pins the producing config,
-    the graph, the unfiltered ``features`` and, for a random-walk estimate,
-    the ``seed``. ``header``, when given, must be ``filtered_cache_header`` of
-    the same arguments."""
-    if header is None:
-        header = filtered_cache_header(g, cfg, features, method, seed=seed)
+def save_filtered_cache(path, values: np.ndarray, header: dict) -> None:
+    """Persist filtered features with the ``filtered_cache_header`` of the
+    inputs they were computed from."""
     np.savez(path, values=as_features(values), header=np.array(json.dumps(header)))
 
 
-def load_filtered_cache(path, g: CsrGraph, cfg: FilterConfig,
-                        features: np.ndarray, method: str = "exact", *,
-                        header: Optional[dict] = None, seed: Optional[int] = None) -> np.ndarray:
+def load_filtered_cache(path, header: dict) -> np.ndarray:
     """Load a cache written by ``save_filtered_cache``.
 
-    Raises ``CacheMismatchError`` when the stored header does not match the
-    requested configuration, graph or random-walk ``seed``, or was not
-    computed from exactly these ``features`` (stale cache). ``header``, when
-    given, must be ``filtered_cache_header`` of the same arguments.
+    Raises ``CacheMismatchError`` when the stored header differs from
+    ``header``, the ``filtered_cache_header`` of the requested inputs: other
+    filter options, graph, unfiltered features or random-walk seed (stale
+    cache).
     """
     with np.load(path) as blob:
         stored = json.loads(str(blob["header"]))
         values = blob["values"]
-    if header is None:
-        header = filtered_cache_header(g, cfg, features, method, seed=seed)
     diffs = {k: (stored.get(k), v) for k, v in header.items() if stored.get(k) != v}
     if diffs:
         raise CacheMismatchError(f"stale filtered-feature cache: {diffs}")

@@ -3,7 +3,9 @@ parameter sweeps, the linear-scaling benchmark, and artifact/manifest IO.
 
 Every pipeline run writes a fixed artifact set under its output directory
 (metrics.json, metrics.csv, loss.csv, assignments.txt, checkpoint.npz,
-filtered.npz, manifest.json; the metric files need labels). The manifest embeds the fully resolved
+filtered.npz, manifest.json; the metric files need labels, and a random-walk
+run writes no filtered.npz). Every CSV and JSON artifact goes through
+``write_csv`` or ``write_json``. The manifest embeds the fully resolved
 configuration and seeds, so re-running from it reproduces the metric values
 bit-exactly.
 """
@@ -29,8 +31,8 @@ from .graph import (CsrGraph, augment_self_loops, load_edge_list,
                     load_features, load_labels, rmat_generate, save_labels)
 from .metrics import MetricReport, evaluate_all
 from .spectral import spectral_report, verify_claim1, verify_claim2
-from .training import (TrainConfig, TrainResult, load_checkpoint, loss_history_to_csv,
-                       pretrain_autoencoder, save_checkpoint, train_rwsl)
+from .training import (TrainConfig, TrainResult, load_checkpoint, pretrain_autoencoder,
+                       save_checkpoint, train_rwsl)
 
 MANIFEST_VERSION = 1
 
@@ -46,15 +48,12 @@ class RunConfig:
     out: str
     labels: str = ""
     repeat: int = 1
-    filter_method: str = "exact"
     filter: FilterConfig = field(default_factory=FilterConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
 
     def __post_init__(self):
         if self.repeat < 1:
             raise ValueError("repeat must be >= 1")
-        if self.filter_method not in ("exact", "randomwalk"):
-            raise ValueError("filter_method must be 'exact' or 'randomwalk'")
 
 
 # ---------------------------------------------------------------------------
@@ -173,24 +172,27 @@ def _aggregate(reports: list) -> dict:
     }
 
 
-def write_metric_report_json(report: MetricReport, path) -> None:
-    Path(path).write_text(json.dumps(report.as_dict(), indent=2) + "\n")
+def write_csv(path, header, rows) -> None:
+    """CSV with a ``header`` line, then one line per row: numbers as ``.17g``
+    (which reads back to the same float64) and strings as given."""
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(v if isinstance(v, str) else f"{v:.17g}" for v in row) + "\n")
+
+
+def write_json(path, doc) -> None:
+    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
 
 def write_metric_report_csv(rows: list, path) -> None:
     """CSV with the fixed metric column order; one row per dict in ``rows``."""
-    with open(path, "w") as fh:
-        fh.write(",".join(MetricReport.FIELDS) + "\n")
-        for row in rows:
-            fh.write(",".join(f"{row[f]:.17g}" for f in MetricReport.FIELDS) + "\n")
+    write_csv(path, MetricReport.FIELDS, ([row[f] for f in MetricReport.FIELDS] for row in rows))
 
 
-def write_distribution_csv(matrix: np.ndarray, path) -> None:
-    """Row-stochastic matrix as CSV, one node per row, one cluster per column."""
-    with open(path, "w") as fh:
-        fh.write(",".join(f"cluster_{j}" for j in range(matrix.shape[1])) + "\n")
-        for row in matrix:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+def loss_history_to_csv(history: np.ndarray, path) -> None:
+    """Loss curve CSV with columns iteration, L_MSE, L_H, L_Z, L_tot."""
+    write_csv(path, ("iteration", "L_MSE", "L_H", "L_Z", "L_tot"), history)
 
 
 @dataclass
@@ -203,9 +205,10 @@ class PipelineOutcome:
 
 
 def filter_features(g_aug: CsrGraph, x_raw: np.ndarray, cfg: FilterConfig, *,
-                    method: str = "exact", seed: int = 0,
-                    cache_path: Path | None = None, share: dict | None = None) -> np.ndarray:
-    """Filter ``x_raw`` on the self-loop-augmented graph with ``method``.
+                    seed: int = 0, cache_path: Path | None = None,
+                    share: dict | None = None) -> np.ndarray:
+    """Filter ``x_raw`` on the self-loop-augmented graph with
+    ``cfg.filter_method``; ``seed`` draws the random walks.
 
     With a ``cache_path`` the exact filter reuses the cache written there
     when its header matches these inputs, and otherwise recomputes and
@@ -217,30 +220,27 @@ def filter_features(g_aug: CsrGraph, x_raw: np.ndarray, cfg: FilterConfig, *,
     ``cache_path`` instead of filtering again; any other exact call
     empties it first, so it never holds more than one matrix.
     """
-    if method == "randomwalk":
+    if cfg.filter_method == "randomwalk":
         return filter_randomwalk(g_aug, x_raw, cfg, seed)
-    if method != "exact":
-        raise ValueError(f"unknown filter_method {method!r}")
     if cache_path is None:
         return filter_exact(g_aug, x_raw, cfg)
     if share is not None:
         if share.get("cfg") == cfg:
-            save_filtered_cache(cache_path, share["values"], g_aug, cfg, features=x_raw,
-                                header=share["header"])
+            save_filtered_cache(cache_path, share["values"], share["header"])
             return share["values"]
         share.clear()
     header = filtered_cache_header(g_aug, cfg, x_raw)
     xf = None
     if cache_path.exists():
         try:
-            xf = load_filtered_cache(cache_path, g_aug, cfg, features=x_raw, header=header)
+            xf = load_filtered_cache(cache_path, header)
         except (CacheMismatchError, OSError, KeyError, ValueError) as exc:
             # stale or unreadable: recompute below
             logging.getLogger(__name__).warning(
                 "rejected filtered-feature cache %s: %s: %s", cache_path, type(exc).__name__, exc)
     if xf is None:
         xf = filter_exact(g_aug, x_raw, cfg)
-        save_filtered_cache(cache_path, xf, g_aug, cfg, features=x_raw, header=header)
+        save_filtered_cache(cache_path, xf, header)
     if share is not None:
         xf.flags.writeable = False
         share.update(cfg=cfg, values=xf, header=header)
@@ -292,18 +292,21 @@ def run_pipeline(cfg: RunConfig, *, filtered=None, ae_checkpoint=None,
     x_filtered = autoencoder = None
     inputs = {}
     if filtered is not None:
-        x_filtered = run_stage("load", load_filtered_cache, filtered, g_aug, cfg.filter,
-                               x_raw, cfg.filter_method, seed=cfg.train.seed)
+        header = filtered_cache_header(g_aug, cfg.filter, x_raw, seed=cfg.train.seed)
+        x_filtered = run_stage("load", load_filtered_cache, filtered, header)
         inputs["filtered"] = _sha256(Path(filtered))
     if ae_checkpoint is not None:
         models = run_stage("load", load_checkpoint, ae_checkpoint)[0]
         autoencoder = run_stage("load", itemgetter("encoder", "decoder"), models)
         inputs["ae_checkpoint"] = _sha256(Path(ae_checkpoint))
-    cache_path = out_dir / "filtered.npz" if cfg.filter_method == "exact" else None
+    exact = cfg.filter.filter_method == "exact"
+    cache_path = out_dir / "filtered.npz" if exact else None
+    # in write order; the first filter call writes filtered.npz or checks it
+    written = ["filtered.npz"] if filtered is None and exact else []
     seeds = [cfg.train.seed + i for i in range(cfg.repeat)]
     # the random-walk estimate is redrawn per seed; otherwise, unless the
     # autoencoder reads them, the raw features are not read after filtering
-    refilter = filtered is None and cfg.filter_method == "randomwalk"
+    refilter = filtered is None and not exact
     keep_raw = refilter or cfg.train.ae_input == "raw"
 
     reports = []
@@ -311,8 +314,7 @@ def run_pipeline(cfg: RunConfig, *, filtered=None, ae_checkpoint=None,
     for seed in seeds:
         if x_filtered is None or refilter:
             x_filtered = run_stage("filter", filter_features, g_aug, x_raw, cfg.filter,
-                                   method=cfg.filter_method, seed=seed, cache_path=cache_path,
-                                   share=share)
+                                   seed=seed, cache_path=cache_path, share=share)
         if not keep_raw:
             x_raw = None
         train_cfg = replace(cfg.train, seed=seed)
@@ -335,31 +337,24 @@ def run_pipeline(cfg: RunConfig, *, filtered=None, ae_checkpoint=None,
             run_stage("write", save_checkpoint, out_dir / "checkpoint.npz",
                       {"encoder": result.encoder, "decoder": result.decoder, "dnn": result.dnn},
                       {"seed": seed, "k": cfg.k}, {"centroids": result.cluster.centroids})
+    written += ["loss.csv", "assignments.txt", "checkpoint.npz"]
 
-    written = {"loss.csv", "assignments.txt", "checkpoint.npz"}
-    if filtered is None and cache_path is not None:
-        written.add("filtered.npz")     # written, or checked against this run's inputs
     summary = None
     if reports:
         summary = _aggregate(reports)
         summary["per_seed"] = [{"seed": s} | r.as_dict() for s, r in zip(seeds, reports)]
-        run_stage("write", Path(out_dir / "metrics.json").write_text,
-                  json.dumps(summary, indent=2) + "\n")
+        run_stage("write", write_json, out_dir / "metrics.json", summary)
         run_stage("write", write_metric_report_csv, [summary["mean"]], out_dir / "metrics.csv")
-        written |= {"metrics.json", "metrics.csv"}
+        written += ["metrics.json", "metrics.csv"]
     run_stage("write", _write_manifest, cfg, seeds, out_dir, inputs, written)
     return PipelineOutcome(summary, reports, seeds, out_dir, first)
 
 
-_ARTIFACT_NAMES = ("metrics.json", "metrics.csv", "loss.csv", "assignments.txt",
-                   "checkpoint.npz", "filtered.npz")
-
-
 def _write_manifest(cfg: RunConfig, seeds: list, out_dir: Path, inputs: dict,
-                    written: set) -> None:
+                    written: list) -> None:
     """Write manifest.json, hashing the artifacts named in ``written``: this
     run's files, not older ones left in ``out_dir``."""
-    artifacts = {name: _sha256(out_dir / name) for name in _ARTIFACT_NAMES if name in written}
+    artifacts = {name: _sha256(out_dir / name) for name in written}
     manifest = {
         "kind": "manifest",
         "version": MANIFEST_VERSION,
@@ -369,7 +364,7 @@ def _write_manifest(cfg: RunConfig, seeds: list, out_dir: Path, inputs: dict,
     }
     if inputs:
         manifest["inputs"] = inputs
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    write_json(out_dir / "manifest.json", manifest)
 
 
 # ---------------------------------------------------------------------------
@@ -407,12 +402,9 @@ def _sweep(cfg: RunConfig, parameter: str, values, make_cfg) -> SweepResult:
         # keep only the summary: the outcome also holds that run's models
         summaries.append(run_pipeline(sub, _data=(g_plain, x_raw, labels, share)).summary)
     csv_path = out_dir / f"sweep_{parameter}.csv"
-    with open(csv_path, "w") as fh:
-        fh.write(f"{parameter},metric,mean,std\n")
-        for value, summary in zip(values, summaries):
-            for metric in MetricReport.FIELDS:
-                fh.write(f"{value},{metric},{summary['mean'][metric]:.17g},"
-                         f"{summary['std'][metric]:.17g}\n")
+    run_stage("write", write_csv, csv_path, (parameter, "metric", "mean", "std"),
+              ((str(value), metric, summary["mean"][metric], summary["std"][metric])
+               for value, summary in zip(values, summaries) for metric in MetricReport.FIELDS))
     return SweepResult(parameter, list(values), summaries, csv_path)
 
 
@@ -528,11 +520,10 @@ def bench_scalability(sizes, edge_factor: float, feat_dim: int, epochs: int,
 
 
 def bench_rows_to_csv(rows: list, path) -> None:
-    with open(path, "w") as fh:
-        fh.write("n_nodes,filter_s,train_s,total_s,train_peak_mb,status\n")
-        for r in rows:
-            fh.write(f"{r['n_nodes']},{r['filter_s']:.6g},{r['train_s']:.6g},"
-                     f"{r['total_s']:.6g},{r['train_peak_mb']:.6g},{r['status']}\n")
+    """The benchmark rows as CSV, timings and peaks to 6 significant digits."""
+    measured = ("filter_s", "train_s", "total_s", "train_peak_mb")
+    write_csv(path, ("n_nodes", *measured, "status"),
+              ([r["n_nodes"], *(f"{r[m]:.6g}" for m in measured), r["status"]] for r in rows))
 
 
 def bench_fit_lines(rows: list) -> list:
@@ -573,11 +564,7 @@ def spectral_run(g_plain: CsrGraph, alphas, hops: int, out_dir,
         columns[f"ppr_closed_a{a}"] = reports[a].eigenvalues_ppr_closed
         columns[f"ppr_laplacian_a{a}"] = 1.0 - reports[a].eigenvalues_ppr_closed
         columns[f"ppr_direct_a{a}"] = reports[a].eigenvalues_ppr_direct
-    with open(out_dir / "spectrum.csv", "w") as fh:
-        names = list(columns)
-        fh.write(",".join(names) + "\n")
-        for i in range(g_plain.n_nodes):
-            fh.write(",".join(f"{columns[n][i]:.17g}" for n in names) + "\n")
+    write_csv(out_dir / "spectrum.csv", columns, zip(*columns.values()))
 
     claim_lines = []
     claim1_ok = True
@@ -602,5 +589,5 @@ def spectral_run(g_plain: CsrGraph, alphas, hops: int, out_dir,
         "claim1_pass": claim1_ok,
         "claim2_pass": bool(claim2_ok),
     }
-    (out_dir / "spectral.json").write_text(json.dumps(summary, indent=2) + "\n")
+    write_json(out_dir / "spectral.json", summary)
     return summary

@@ -406,11 +406,3 @@ def load_checkpoint(path):
             )
         arrays = {k[4:]: data[k] for k in data.files if k.startswith("arr_")}
     return models, arrays, spec["meta"]
-
-
-def loss_history_to_csv(history: np.ndarray, path) -> None:
-    """Loss curve CSV with columns iteration, L_MSE, L_H, L_Z, L_tot."""
-    with open(path, "w") as fh:
-        fh.write("iteration,L_MSE,L_H,L_Z,L_tot\n")
-        for row in history:
-            fh.write(f"{int(row[0])},{row[1]:.17g},{row[2]:.17g},{row[3]:.17g},{row[4]:.17g}\n")

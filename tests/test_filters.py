@@ -121,7 +121,8 @@ class TestConfig:
 
     def test_validation(self):
         for bad in (dict(alpha=0.0), dict(alpha=1.0), dict(hops=-1),
-                    dict(rrz=1.5), dict(r_max=0.0), dict(n_walks=0)):
+                    dict(rrz=1.5), dict(r_max=0.0), dict(n_walks=0),
+                    dict(filter_method="bogus")):
             with pytest.raises(ValueError):
                 FilterConfig(**bad)
 
@@ -409,25 +410,25 @@ class TestFilterRandomwalk:
 
 class TestCache:
     def test_randomwalk_seed_pinned(self, tmp_path):
-        g, x, cfg = path3(), np.eye(3), FilterConfig(n_walks=50)
+        g, x, cfg = path3(), np.eye(3), FilterConfig(n_walks=50, filter_method="randomwalk")
         values = np.random.default_rng(0).random((3, 2))
-        save_filtered_cache(tmp_path / "c.npz", values, g, cfg, x, "randomwalk", seed=0)
-        assert np.array_equal(load_filtered_cache(tmp_path / "c.npz", g, cfg, x,
-                                                  "randomwalk", seed=0), values)
+        save_filtered_cache(tmp_path / "c.npz", values, filtered_cache_header(g, cfg, x, seed=0))
+        assert np.array_equal(load_filtered_cache(tmp_path / "c.npz",
+                                                  filtered_cache_header(g, cfg, x, seed=0)),
+                              values)
         with pytest.raises(CacheMismatchError, match="seed"):
-            load_filtered_cache(tmp_path / "c.npz", g, cfg, x, "randomwalk", seed=1)
+            load_filtered_cache(tmp_path / "c.npz", filtered_cache_header(g, cfg, x, seed=1))
         with pytest.raises(ValueError, match="seed"):
-            filtered_cache_header(g, cfg, x, "randomwalk")
+            filtered_cache_header(g, cfg, x)
 
     def test_previous_version_randomwalk_rejected(self, tmp_path):
         # a version-2 random-walk cache holds the whole-walk estimate
-        g, x, cfg = path3(), np.eye(3), FilterConfig(n_walks=50)
-        header = filtered_cache_header(g, cfg, x, "randomwalk", seed=0)
+        g, x, cfg = path3(), np.eye(3), FilterConfig(n_walks=50, filter_method="randomwalk")
+        header = filtered_cache_header(g, cfg, x, seed=0)
         assert header["version"] == 3
-        save_filtered_cache(tmp_path / "c.npz", np.ones((3, 2)), g, cfg, x, "randomwalk",
-                            header={**header, "version": 2})
+        save_filtered_cache(tmp_path / "c.npz", np.ones((3, 2)), {**header, "version": 2})
         with pytest.raises(CacheMismatchError, match="version"):
-            load_filtered_cache(tmp_path / "c.npz", g, cfg, x, "randomwalk", seed=0)
+            load_filtered_cache(tmp_path / "c.npz", header)
 
     def test_exact_header_has_no_seed(self):
         g, x = path3(), np.eye(3)
@@ -441,47 +442,52 @@ class TestCache:
         cfg = FilterConfig()
         x = np.eye(3)
         values = np.random.default_rng(0).random((3, 2))
-        save_filtered_cache(tmp_path / "c.npz", values, g, cfg, features=x)
-        loaded = load_filtered_cache(tmp_path / "c.npz", g, cfg, features=x)
+        header = filtered_cache_header(g, cfg, x)
+        save_filtered_cache(tmp_path / "c.npz", values, header)
+        loaded = load_filtered_cache(tmp_path / "c.npz", header)
         assert np.array_equal(loaded, values)
 
     def test_stale_config_rejected(self, tmp_path):
         g = path3()
         x = np.eye(3)
-        save_filtered_cache(tmp_path / "c.npz", np.zeros((3, 2)), g, FilterConfig(alpha=0.1),
-                            features=x)
-        with pytest.raises(CacheMismatchError):
-            load_filtered_cache(tmp_path / "c.npz", g, FilterConfig(alpha=0.2), features=x)
+        save_filtered_cache(tmp_path / "c.npz", np.zeros((3, 2)),
+                            filtered_cache_header(g, FilterConfig(alpha=0.1), x))
+        for stale in (FilterConfig(alpha=0.2),
+                      FilterConfig(alpha=0.1, filter_method="randomwalk")):
+            with pytest.raises(CacheMismatchError):
+                load_filtered_cache(tmp_path / "c.npz",
+                                    filtered_cache_header(g, stale, x, seed=0))
 
     def test_stale_features_and_walks_rejected(self, tmp_path):
         g = path3()
         x = np.eye(3)
-        save_filtered_cache(tmp_path / "c.npz", np.zeros((3, 2)), g, FilterConfig(),
-                            features=x)
-        assert load_filtered_cache(tmp_path / "c.npz", g, FilterConfig(),
-                                   features=x.copy()).shape == (3, 2)
+        save_filtered_cache(tmp_path / "c.npz", np.zeros((3, 2)),
+                            filtered_cache_header(g, FilterConfig(), x))
+        assert load_filtered_cache(tmp_path / "c.npz",
+                                   filtered_cache_header(g, FilterConfig(), x.copy())
+                                   ).shape == (3, 2)
         with pytest.raises(CacheMismatchError):
-            load_filtered_cache(tmp_path / "c.npz", g, FilterConfig(), features=2 * x)
+            load_filtered_cache(tmp_path / "c.npz",
+                                filtered_cache_header(g, FilterConfig(), 2 * x))
         with pytest.raises(CacheMismatchError):
-            load_filtered_cache(tmp_path / "c.npz", g, FilterConfig(n_walks=5), features=x)
+            load_filtered_cache(tmp_path / "c.npz",
+                                filtered_cache_header(g, FilterConfig(n_walks=5), x))
 
     def test_stale_graph_rejected(self, tmp_path):
         g = path3()
         other = augment_self_loops(from_edge_array(3, np.array([0]), np.array([2])))
         x = np.eye(3)
-        save_filtered_cache(tmp_path / "c.npz", np.zeros((3, 2)), g, FilterConfig(), features=x)
+        save_filtered_cache(tmp_path / "c.npz", np.zeros((3, 2)),
+                            filtered_cache_header(g, FilterConfig(), x))
         with pytest.raises(CacheMismatchError):
-            load_filtered_cache(tmp_path / "c.npz", other, FilterConfig(), features=x)
+            load_filtered_cache(tmp_path / "c.npz",
+                                filtered_cache_header(other, FilterConfig(), x))
 
     def test_precomputed_header(self, tmp_path):
         g, x = path3(), np.eye(3)
         header = filtered_cache_header(g, FilterConfig(), x)
-        save_filtered_cache(tmp_path / "c.npz", np.ones((3, 2)), g, FilterConfig(), x,
-                            header=header)
-        assert np.array_equal(load_filtered_cache(tmp_path / "c.npz", g, FilterConfig(), x),
-                              np.ones((3, 2)))
-        assert np.array_equal(load_filtered_cache(tmp_path / "c.npz", g, FilterConfig(), x,
-                                                  header=header), np.ones((3, 2)))
+        save_filtered_cache(tmp_path / "c.npz", np.ones((3, 2)), header)
+        assert np.array_equal(load_filtered_cache(tmp_path / "c.npz", header), np.ones((3, 2)))
         stale = filtered_cache_header(g, FilterConfig(), 2 * x)
         with pytest.raises(CacheMismatchError, match="features_sha256"):
-            load_filtered_cache(tmp_path / "c.npz", g, FilterConfig(), x, header=stale)
+            load_filtered_cache(tmp_path / "c.npz", stale)

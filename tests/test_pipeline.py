@@ -11,7 +11,8 @@ import pytest
 from rwsl.cli import _collect_config, build_parser, main as cli_main
 from rwsl.errors import PipelineStageError
 from rwsl import filters
-from rwsl.filters import FilterConfig, filter_exact, load_filtered_cache, save_filtered_cache
+from rwsl.filters import (FilterConfig, filter_exact, filtered_cache_header,
+                          load_filtered_cache, save_filtered_cache)
 from rwsl.graph import (augment_self_loops, load_edge_list, load_features,
                         rmat_generate, save_edge_list, save_features, save_labels)
 from rwsl.pipeline import (_sha256, bench_rows_to_csv, bench_scalability, filter_features,
@@ -19,6 +20,8 @@ from rwsl.pipeline import (_sha256, bench_rows_to_csv, bench_scalability, filter
                            parse_config_text, resolve_run_config,
                            run_config_to_flat, run_pipeline, spectral_run,
                            sweep_alpha, sweep_epsilon)
+from rwsl.metrics import MetricReport
+from rwsl.spectral import spectral_report
 from rwsl.training import TrainConfig, train_rwsl
 
 ARTIFACTS = ("metrics.json", "metrics.csv", "loss.csv", "assignments.txt",
@@ -133,8 +136,8 @@ class TestRunPipeline:
         cfg = resolve_run_config(fixture_run_values)
         run_pipeline(cfg)
         g_aug = augment_self_loops(load_edge_list(cfg.edges, cfg.n_nodes))
-        cached = load_filtered_cache(Path(cfg.out) / "filtered.npz", g_aug, cfg.filter,
-                                     features=load_features(cfg.features))
+        header = filtered_cache_header(g_aug, cfg.filter, load_features(cfg.features))
+        cached = load_filtered_cache(Path(cfg.out) / "filtered.npz", header)
         assert cached.shape == (10, 2)
         # a second run must consume the existing cache without error
         run_pipeline(cfg)
@@ -168,8 +171,8 @@ class TestRunPipeline:
         assert "ValueError" in record.getMessage()
         g_aug = augment_self_loops(load_edge_list(cfg.edges, cfg.n_nodes))
         x = load_features(cfg.features)
-        assert np.array_equal(load_filtered_cache(Path(cfg.out) / "filtered.npz", g_aug,
-                                                  cfg.filter, features=x),
+        assert np.array_equal(load_filtered_cache(Path(cfg.out) / "filtered.npz",
+                                                  filtered_cache_header(g_aug, cfg.filter, x)),
                               filter_exact(g_aug, x, cfg.filter))
 
     def test_stale_cache_hashes_inputs_once(self, fixture_run_values, monkeypatch):
@@ -178,7 +181,7 @@ class TestRunPipeline:
         x = load_features(cfg.features)
         cache_path = Path(cfg.out) / "filtered.npz"
         cache_path.parent.mkdir(parents=True)
-        save_filtered_cache(cache_path, x, g_aug, cfg.filter, 2 * x)
+        save_filtered_cache(cache_path, x, filtered_cache_header(g_aug, cfg.filter, 2 * x))
         calls = []
         for name in ("_features_sha256", "graph_hash"):
             def counting(*args, _name=name, _fn=getattr(filters, name)):
@@ -188,7 +191,8 @@ class TestRunPipeline:
         xf = filter_features(g_aug, x, cfg.filter, cache_path=cache_path)
         assert sorted(calls) == ["_features_sha256", "graph_hash"]
         assert np.array_equal(xf, filter_exact(g_aug, x, cfg.filter))
-        assert np.array_equal(load_filtered_cache(cache_path, g_aug, cfg.filter, x), xf)
+        assert np.array_equal(load_filtered_cache(
+            cache_path, filtered_cache_header(g_aug, cfg.filter, x)), xf)
 
     @pytest.mark.parametrize("size", [0, 1, (1 << 20) - 1, 1 << 20, 3 * (1 << 20) + 7])
     def test_sha256_streams_same_digest(self, tmp_path, size):
@@ -389,9 +393,10 @@ class TestSweeps:
         x = load_features(cfg.features)
         stale = Path(cfg.out) / "epsilon_1.0" / "filtered.npz"
         stale.parent.mkdir(parents=True)
-        save_filtered_cache(stale, x, g_aug, cfg.filter, 2 * x)
+        save_filtered_cache(stale, x, filtered_cache_header(g_aug, cfg.filter, 2 * x))
         sweep_epsilon(cfg, [0.0, 1.0])
-        assert np.array_equal(load_filtered_cache(stale, g_aug, cfg.filter, features=x),
+        assert np.array_equal(load_filtered_cache(stale,
+                                                  filtered_cache_header(g_aug, cfg.filter, x)),
                               filter_exact(g_aug, x, cfg.filter))
 
     def test_randomwalk_epsilon_sweep_filters_per_run_and_seed(self, fixture_run_values,
@@ -624,6 +629,15 @@ class TestCli:
         extra = ["--pred", fixture_run_values["labels"]] if command == "eval" else []
         assert cli_main([command, *_flags(values), *extra]) == 3
 
+    @pytest.mark.parametrize("command, extra", [
+        ("filter", ["--filter-method", "bogus"]),
+        ("sweep-epsilon", ["--values", "0.5,0.5"]),
+    ], ids=["unknown-filter-method", "repeated-sweep-value"])
+    def test_bad_option_values_exit_config(self, command, extra, fixture_run_values, capsys):
+        assert cli_main([command, *_flags(fixture_run_values), *extra]) == 2
+        assert "stage 'config' failed" in capsys.readouterr().err
+        assert not Path(fixture_run_values["out"]).exists()
+
     @pytest.mark.parametrize("which", ["pred", "labels"])
     def test_eval_bad_labels_exit_load(self, which, fixture_run_values, tmp_path, capsys):
         bad = tmp_path / "bad_labels.txt"
@@ -676,3 +690,62 @@ class TestCli:
         for key, val in values.items():
             args += [f"--{key.replace('_', '-')}", str(val)]
         assert cli_main(args) == 3
+
+
+def _read_csv(path) -> tuple:
+    header, *lines = Path(path).read_text().splitlines()
+    return header.split(","), [line.split(",") for line in lines]
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+class TestCsvArtifacts:
+    def test_numbers_read_back_bit_identical(self, tmp_path, capsys):
+        # a noisy R-MAT graph, so the metrics, losses and soft assignments
+        # are not round numbers
+        save_edge_list(rmat_generate(60, 4, 1), tmp_path / "edges.txt")
+        save_features(np.random.default_rng(0).random((60, 6)), tmp_path / "features.txt")
+        save_labels(np.arange(60) % 4, tmp_path / "labels.txt")
+        values = {"edges": str(tmp_path / "edges.txt"), "n_nodes": 60, "k": 4,
+                  "features": str(tmp_path / "features.txt"),
+                  "labels": str(tmp_path / "labels.txt"), "architecture": "8-4",
+                  "learning_rate": 0.01, "pretrain_lr": 0.01, "n_epochs": 5,
+                  "pretrain_n_epochs": 5, "batch_size": 16, "repeat": 2}
+        cfg = resolve_run_config({**values, "out": str(tmp_path / "lib")})
+        outcome = run_pipeline(cfg)
+        cli_out = tmp_path / "cli"
+        assert cli_main(["train", "--export-distributions",
+                         *_flags({**values, "out": str(cli_out)})]) == 0
+
+        def numbers(path):
+            header, rows = _read_csv(path)
+            return header, [[float(v) for v in row] for row in rows]
+
+        _, loss = numbers(cli_out / "loss.csv")
+        assert _bits(loss) == _bits(outcome.result.loss_history)
+        header, [metrics] = numbers(cli_out / "metrics.csv")
+        assert _bits(metrics) == _bits([outcome.summary["mean"][f] for f in header])
+        _, p_h = numbers(cli_out / "p_h.csv")
+        assert _bits(p_h) == _bits(outcome.result.p_h)
+
+        result = sweep_epsilon(replace(cfg, out=str(tmp_path / "sweep")), [0.0, 0.5])
+        _, rows = _read_csv(result.csv_path)
+        want = [(str(v), m, s["mean"][m], s["std"][m])
+                for v, s in zip(result.values, result.summaries) for m in MetricReport.FIELDS]
+        assert [row[:2] for row in rows] == [list(w[:2]) for w in want]
+        assert _bits([[float(v) for v in row[2:]] for row in rows]) == _bits(
+            [w[2:] for w in want])
+
+        g = rmat_generate(60, 4.0, 2)
+        spectral_run(g, [0.1], 40, tmp_path / "spec")
+        header, spectrum = numbers(tmp_path / "spec" / "spectrum.csv")
+        report = spectral_report(augment_self_loops(g), 0.1, 40)
+        columns = {"index": np.arange(60), "eigenvalue_gcn": report.eigenvalues_gcn,
+                   "laplacian_sym": 1.0 - report.eigenvalues_gcn,
+                   "ppr_closed_a0.1": report.eigenvalues_ppr_closed,
+                   "ppr_laplacian_a0.1": 1.0 - report.eigenvalues_ppr_closed,
+                   "ppr_direct_a0.1": report.eigenvalues_ppr_direct}
+        assert header == list(columns)
+        assert _bits(spectrum) == _bits(np.column_stack(list(columns.values())))

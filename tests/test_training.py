@@ -12,8 +12,9 @@ from rwsl.filters import FilterConfig, filter_exact
 from rwsl.graph import augment_self_loops, rmat_generate
 from rwsl import training
 from rwsl.nn import AdamWState, init_mlp, mlp_forward, mse_loss
-from rwsl.training import (TrainConfig, load_checkpoint, loss_history_to_csv,
-                           pretrain_autoencoder, save_checkpoint, train_rwsl)
+from rwsl.pipeline import loss_history_to_csv
+from rwsl.training import (TrainConfig, load_checkpoint, pretrain_autoencoder,
+                           save_checkpoint, train_rwsl)
 
 FAST = TrainConfig(architecture=(16, 4), learning_rate=1e-2, pretrain_lr=1e-2,
                    n_epochs=25, pretrain_n_epochs=25, batch_size=8,
