@@ -2,8 +2,7 @@
 plus a self-supervised co-trained autoencoder, with a six-metric evaluation
 suite and a linear-scaling benchmark."""
 
-from .clustering import (ClusterState, hard_assign, kmeans, soft_assign,
-                         target_distribution)
+from .clustering import hard_assign, kmeans, soft_assign, target_distribution
 from .filters import FilterConfig, filter_exact, filter_randomwalk, ppr_weights
 from .graph import (CsrGraph, augment_self_loops, disjoint_cliques,
                     load_edge_list, rmat_generate)
@@ -17,7 +16,7 @@ from .training import TrainConfig, TrainResult, pretrain_autoencoder, train_rwsl
 __version__ = "0.1.0"
 
 __all__ = [
-    "ClusterState", "CsrGraph", "FilterConfig", "MetricReport", "RunConfig",
+    "CsrGraph", "FilterConfig", "MetricReport", "RunConfig",
     "SpectralReport", "TrainConfig", "TrainResult", "augment_self_loops",
     "bench_scalability", "disjoint_cliques", "evaluate_all", "filter_exact",
     "filter_randomwalk", "hard_assign", "kmeans", "load_edge_list",

@@ -20,11 +20,12 @@ from .filters import filtered_cache_header, save_filtered_cache
 from .graph import (augment_self_loops, load_edge_list, load_features,
                     load_labels, rmat_generate, save_features)
 from .metrics import evaluate_all
-from .pipeline import (bench_fit_lines, bench_rows_to_csv, bench_scalability,
-                       config_fields, filter_features, load_config_file,
-                       resolve_run_config, run_pipeline, spectral_run,
-                       split_config, sweep_alpha, sweep_epsilon, write_csv,
-                       write_json, write_metric_report_csv)
+from .pipeline import (DESK_SCALE_CEILING, bench_fit_lines, bench_rows_to_csv,
+                       bench_scalability, config_fields, filter_features,
+                       load_config_file, resolve_run_config, run_pipeline,
+                       spectral_run, split_config, sweep_alpha, sweep_epsilon,
+                       write_csv, write_json, write_metric_report_csv)
+from .spectral import DENSE_EIGEN_LIMIT
 from .training import pretrain_autoencoder, save_checkpoint
 
 # argparse type per config field annotation; other annotations take a string
@@ -66,7 +67,7 @@ def _cmd_filter(args) -> int:
     _require(values, ("edges", "n_nodes", "features", "out"))
     run, filter_cfg, train_cfg = run_stage("config", split_config, values)
     out_dir = Path(run["out"])
-    out_dir.mkdir(parents=True, exist_ok=True)
+    run_stage("write", out_dir.mkdir, parents=True, exist_ok=True)
     g = run_stage("load", load_edge_list, run["edges"], run["n_nodes"])
     x = run_stage("load", load_features, run["features"])
     g = run_stage("filter", augment_self_loops, g)
@@ -89,7 +90,7 @@ def _cmd_pretrain(args) -> int:
             "write filtered features as text with `rwsl filter --text`"))
     x = run_stage("load", load_features, values["features"])
     out_dir = Path(values["out"])
-    out_dir.mkdir(parents=True, exist_ok=True)
+    run_stage("write", out_dir.mkdir, parents=True, exist_ok=True)
     encoder, decoder = run_stage("pretrain", pretrain_autoencoder, x,
                                  (x.shape[1], *train_cfg.architecture), train_cfg)
     run_stage("write", save_checkpoint, out_dir / "pretrain.npz",
@@ -126,11 +127,11 @@ def _cmd_eval(args) -> int:
     g_plain = run_stage("load", load_edge_list, values["edges"], values["n_nodes"])
     pred = run_stage("load", load_labels, args.pred)
     labels = run_stage("load", load_labels, values["labels"])
-    report = evaluate_all(g_plain, pred, labels)
+    report = run_stage("eval", evaluate_all, g_plain, pred, labels)
     out_dir = Path(values["out"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_json(out_dir / "metrics.json", report.as_dict())
-    write_metric_report_csv([report.as_dict()], out_dir / "metrics.csv")
+    run_stage("write", out_dir.mkdir, parents=True, exist_ok=True)
+    run_stage("write", write_json, out_dir / "metrics.json", report.as_dict())
+    run_stage("write", write_metric_report_csv, [report.as_dict()], out_dir / "metrics.csv")
     print(json.dumps(report.as_dict()))
     return 0
 
@@ -157,12 +158,12 @@ def _cmd_sweep(args, which: str) -> int:
 
 def _cmd_bench(args) -> int:
     sizes = _int_list(args.sizes)
-    out_dir = Path(args.out or ".")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = Path(args.out)
+    run_stage("write", out_dir.mkdir, parents=True, exist_ok=True)
     rows = run_stage("bench", bench_scalability, sizes, args.edge_factor, args.feat_dim,
-                     args.epochs, repeats=args.repeats, seed=args.seed or 0,
+                     args.epochs, repeats=args.repeats, seed=args.seed,
                      max_nodes=args.max_nodes)
-    bench_rows_to_csv(rows, out_dir / "bench.csv")
+    run_stage("write", bench_rows_to_csv, rows, out_dir / "bench.csv")
     for line in [*rows, *bench_fit_lines(rows)]:
         print(line)
     return 0
@@ -239,14 +240,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--repeats", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", type=str, default=".")
-    p.add_argument("--max-nodes", type=int, default=100_000,
+    p.add_argument("--max-nodes", type=int, default=DESK_SCALE_CEILING,
                    help="desk-scale ceiling; raise to opt in to larger runs")
 
     p = sub.add_parser("spectral", help="eigenvalue report and claim checks; "
                        "without --edges, on an R-MAT graph of --n-nodes nodes")
     common(p)
     p.add_argument("--alphas", type=str, default=None, help="comma-separated alphas")
-    p.add_argument("--dense-limit", type=int, default=3000)
+    p.add_argument("--dense-limit", type=int, default=DENSE_EIGEN_LIMIT)
 
     return parser
 

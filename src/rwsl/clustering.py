@@ -7,21 +7,7 @@ act as the self-supervision signal. All operations are pure functions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass
-class ClusterState:
-    """Centroids plus the distributions produced during training."""
-
-    n_clusters: int
-    centroids: np.ndarray   # K x dim
-    p_z: np.ndarray         # N x K, encoder-side soft assignment
-    p_h: np.ndarray         # N x K, co-train-DNN soft assignment
-    t: np.ndarray           # N x K, sharpened target
-    r: np.ndarray           # N, hard assignment = row argmax of p_h
 
 
 def _sq_dists(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:

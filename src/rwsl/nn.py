@@ -73,11 +73,9 @@ def row_softmax(x: np.ndarray) -> np.ndarray:
 class ForwardCache:
     inputs: list            # matmul input per layer (post-dropout)
     hidden: list            # post-ReLU activations per hidden layer (> 0 where s > 0)
-    masks: list             # dropout masks per hidden layer (None if unused)
+    masks: list             # dropout masks per hidden layer (None without dropout)
     dropout: float
-    training: bool
-    mix_eps: float
-    mixed: list             # whether a hidden layer was mixed
+    mix_eps: Optional[float]    # None when no hidden layer was mixed
 
 
 def mlp_forward(model: MlpModel, x: np.ndarray, dropout: float = 0.0,
@@ -102,7 +100,7 @@ def mlp_forward(model: MlpModel, x: np.ndarray, dropout: float = 0.0,
     if use_dropout and rng is None and masks is None:
         raise ValueError("training dropout needs an rng or recorded masks")
     a = x
-    hidden, inputs, mask_rec, mixed = [], [], [], []
+    hidden, inputs, mask_rec = [], [], []
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
         inputs.append(a)
         s = a @ w
@@ -116,7 +114,6 @@ def mlp_forward(model: MlpModel, x: np.ndarray, dropout: float = 0.0,
         if mix is not None:
             a = np.multiply(h, 1.0 - mix_eps)
             a += np.multiply(mix[i], mix_eps)
-        mixed.append(mix is not None)
         if use_dropout:
             m = masks[i] if masks is not None else (rng.random(h.shape) >= dropout)
             mask_rec.append(m)
@@ -126,7 +123,7 @@ def mlp_forward(model: MlpModel, x: np.ndarray, dropout: float = 0.0,
         else:
             mask_rec.append(None)
     cache = ForwardCache(inputs, hidden, mask_rec, dropout,
-                         use_dropout, mix_eps, mixed)
+                         None if mix is None else mix_eps)
     return out, hidden, cache
 
 
@@ -158,10 +155,10 @@ def mlp_backward(model: MlpModel, cache: ForwardCache,
         g = g @ model.weights[i].T
         if i > 0:
             # factors in the forward's order, on the fresh product only
-            if cache.training and cache.masks[i - 1] is not None:
+            if cache.masks[i - 1] is not None:
                 g *= cache.masks[i - 1]
                 g *= 1.0 / (1.0 - cache.dropout)
-            if cache.mixed[i - 1]:
+            if cache.mix_eps is not None:
                 g *= 1.0 - cache.mix_eps
             g *= cache.hidden[i - 1] > 0.0
     return Grads(d_weights, d_biases, g)

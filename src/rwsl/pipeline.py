@@ -30,7 +30,7 @@ from .filters import (FilterConfig, filter_exact, filter_randomwalk,
 from .graph import (CsrGraph, augment_self_loops, load_edge_list,
                     load_features, load_labels, rmat_generate, save_labels)
 from .metrics import MetricReport, evaluate_all
-from .spectral import spectral_report, verify_claim1, verify_claim2
+from .spectral import DENSE_EIGEN_LIMIT, spectral_report, verify_claim1, verify_claim2
 from .training import (TrainConfig, TrainResult, load_checkpoint, pretrain_autoencoder,
                        save_checkpoint, train_rwsl)
 
@@ -160,10 +160,11 @@ def _sha256(path: Path) -> str:
 
 
 def _aggregate(reports: list) -> dict:
-    """Mean/std per metric over repeated runs; std flagged zero for repeat=1."""
+    """Mean/std per metric over repeated runs; std flagged zero for repeat=1
+    (the std of one row, which metric validation keeps finite, is 0.0)."""
     table = np.array([[getattr(r, f) for f in MetricReport.FIELDS] for r in reports])
     mean = table.mean(axis=0)
-    std = table.std(axis=0) if len(reports) > 1 else np.zeros(table.shape[1])
+    std = table.std(axis=0)
     return {
         "repeat": len(reports),
         "std_is_zero_flagged": len(reports) < 2,
@@ -275,7 +276,7 @@ def run_pipeline(cfg: RunConfig, *, filtered=None, ae_checkpoint=None,
     evaluation; a sweep keeps the raw matrix its sub-runs share.
     """
     out_dir = Path(cfg.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    run_stage("write", out_dir.mkdir, parents=True, exist_ok=True)
 
     if _data is None:
         g_plain = run_stage("load", load_edge_list, cfg.edges, cfg.n_nodes)
@@ -336,7 +337,7 @@ def run_pipeline(cfg: RunConfig, *, filtered=None, ae_checkpoint=None,
             run_stage("write", save_labels, result.assignments, out_dir / "assignments.txt")
             run_stage("write", save_checkpoint, out_dir / "checkpoint.npz",
                       {"encoder": result.encoder, "decoder": result.decoder, "dnn": result.dnn},
-                      {"seed": seed, "k": cfg.k}, {"centroids": result.cluster.centroids})
+                      {"seed": seed, "k": cfg.k}, {"centroids": result.centroids})
     written += ["loss.csv", "assignments.txt", "checkpoint.npz"]
 
     summary = None
@@ -373,7 +374,6 @@ def _write_manifest(cfg: RunConfig, seeds: list, out_dir: Path, inputs: dict,
 
 @dataclass
 class SweepResult:
-    parameter: str
     values: list
     summaries: list                 # aggregate block per value
     csv_path: Path
@@ -382,7 +382,9 @@ class SweepResult:
 def _sweep(cfg: RunConfig, parameter: str, values, make_cfg) -> SweepResult:
     """One ``run_pipeline`` per value into ``<out>/<parameter>_<value>``, on
     inputs loaded once and with one filter share (see ``filter_features``),
-    then the long CSV. The values are checked before anything is loaded."""
+    then the long CSV. The values are checked, by building every sub-run's
+    config, before anything is created or loaded."""
+    values = list(values)
     if not values:
         raise ValueError(f"a {parameter} sweep needs at least one value")
     if len(set(values)) != len(values):
@@ -390,22 +392,21 @@ def _sweep(cfg: RunConfig, parameter: str, values, make_cfg) -> SweepResult:
     if not cfg.labels:
         raise ValueError("a sweep needs labels: its CSV holds the metrics of each value")
     out_dir = Path(cfg.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    subs = [replace(make_cfg(cfg, value), out=str(out_dir / f"{parameter}_{value}"))
+            for value in values]
+    run_stage("write", out_dir.mkdir, parents=True, exist_ok=True)
     g_plain = run_stage("load", load_edge_list, cfg.edges, cfg.n_nodes)
     x_raw = run_stage("load", load_features, cfg.features)
     labels = run_stage("load", load_labels, cfg.labels)
     share = {}
-    summaries = []
-    for value in values:
-        sub = make_cfg(cfg, value)
-        sub = replace(sub, out=str(out_dir / f"{parameter}_{value}"))
-        # keep only the summary: the outcome also holds that run's models
-        summaries.append(run_pipeline(sub, _data=(g_plain, x_raw, labels, share)).summary)
+    # keep only the summaries: an outcome also holds that run's models
+    summaries = [run_pipeline(sub, _data=(g_plain, x_raw, labels, share)).summary
+                 for sub in subs]
     csv_path = out_dir / f"sweep_{parameter}.csv"
     run_stage("write", write_csv, csv_path, (parameter, "metric", "mean", "std"),
               ((str(value), metric, summary["mean"][metric], summary["std"][metric])
                for value, summary in zip(values, summaries) for metric in MetricReport.FIELDS))
-    return SweepResult(parameter, list(values), summaries, csv_path)
+    return SweepResult(values, summaries, csv_path)
 
 
 def sweep_epsilon(cfg: RunConfig, values) -> SweepResult:
@@ -416,20 +417,12 @@ def sweep_epsilon(cfg: RunConfig, values) -> SweepResult:
     its own ``filtered.npz``. A random-walk sweep still filters per sub-run
     and seed.
     """
-    values = list(values)
-    for v in values:
-        if not 0.0 <= v <= 1.0:
-            raise ValueError(f"epsilon {v} outside [0, 1]")
     return _sweep(cfg, "epsilon", values,
                   lambda c, v: replace(c, train=replace(c.train, epsilon=v)))
 
 
 def sweep_alpha(cfg: RunConfig, values) -> SweepResult:
     """One pipeline per teleport probability (features re-filtered each time)."""
-    values = list(values)
-    for v in values:
-        if not 0.0 < v < 1.0:
-            raise ValueError(f"alpha {v} outside (0, 1)")
     return _sweep(cfg, "alpha", values,
                   lambda c, v: replace(c, filter=replace(c.filter, alpha=v)))
 
@@ -453,8 +446,6 @@ DESK_SCALE_CEILING = 100_000
 
 def bench_scalability(sizes, edge_factor: float, feat_dim: int, epochs: int,
                       repeats: int = 3, seed: int = 0, k: int = 8,
-                      filter_cfg: FilterConfig | None = None,
-                      train_cfg: TrainConfig | None = None,
                       max_nodes: int = DESK_SCALE_CEILING) -> list:
     """Time filter and 5-epoch-style co-training across synthetic graph sizes.
 
@@ -469,21 +460,22 @@ def bench_scalability(sizes, edge_factor: float, feat_dim: int, epochs: int,
     of 100k nodes by default; pass a larger ``max_nodes`` to opt in.
     """
     sizes = list(sizes)
+    if repeats < 1:
+        raise ValueError("repeats must be >= 1")
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ValueError("sizes must be strictly ascending")
     if sizes and sizes[-1] > max_nodes:
         raise ValueError(f"size {sizes[-1]} exceeds max_nodes={max_nodes}; "
                          "raise max_nodes to opt in to larger runs")
-    filter_cfg = filter_cfg or FilterConfig()
-    train_cfg = train_cfg or BENCH_TRAIN_CONFIG
-    train_cfg = replace(train_cfg, n_epochs=epochs)
+    filter_cfg = FilterConfig()
+    train_cfg = replace(BENCH_TRAIN_CONFIG, n_epochs=epochs)
     rows = []
     for n in sizes:
         try:
             g = augment_self_loops(rmat_generate(n, edge_factor, seed))
             x = np.random.default_rng(seed).random((n, feat_dim))
             filter_times, train_times, totals, peaks = [], [], [], []
-            for _ in range(max(1, repeats)):
+            for _ in range(repeats):
                 t0 = time.perf_counter()
                 xf = filter_exact(g, x, filter_cfg)
                 filter_s = time.perf_counter() - t0
@@ -548,7 +540,7 @@ def bench_fit_lines(rows: list) -> list:
 
 
 def spectral_run(g_plain: CsrGraph, alphas, hops: int, out_dir,
-                 dense_limit: int = 3000) -> dict:
+                 dense_limit: int = DENSE_EIGEN_LIMIT) -> dict:
     """Write eigenvalue CSVs and claim PASS/FAIL lines; returns the summary."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

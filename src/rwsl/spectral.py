@@ -18,6 +18,9 @@ from .errors import ClaimCheckError, DenseEigenLimitError
 from .filters import ppr_weights
 from .graph import CsrGraph
 
+# node count above which the dense eigensolver path refuses a graph
+DENSE_EIGEN_LIMIT = 3000
+
 
 @dataclass(frozen=True)
 class SpectralReport:
@@ -64,11 +67,8 @@ def verify_claim1(alpha1: float, alpha2: float, l_max: int) -> int:
     hops = np.arange(l_max + 1, dtype=np.float64)
     log_w1 = np.log(alpha1) + hops * np.log1p(-alpha1)
     log_w2 = np.log(alpha2) + hops * np.log1p(-alpha2)
-    not_above = np.nonzero(log_w1 <= log_w2)[0]
-    if len(not_above) == 0:
-        # w_0(alpha1) = alpha1 < alpha2 always, so index 0 is never above
-        raise AssertionError("unreachable: weight at hop 0 always crosses")
-    crossover = int(not_above[-1])
+    # w_0(alpha1) = alpha1 < alpha2, so hop 0 is always among these
+    crossover = int(np.nonzero(log_w1 <= log_w2)[0][-1])
     if crossover >= l_max:
         raise ClaimCheckError(
             f"no crossover within l_max={l_max} for alphas ({alpha1}, {alpha2})")
@@ -105,7 +105,7 @@ def dense_propagation_matrix(g: CsrGraph) -> np.ndarray:
 
 
 def spectral_report(g: CsrGraph, alpha: float, hops: int,
-                    dense_limit: int = 3000) -> SpectralReport:
+                    dense_limit: int = DENSE_EIGEN_LIMIT) -> SpectralReport:
     """Compare the closed-form filter spectrum against an explicit truncation.
 
     Accumulates S = sum_{l<=hops} w_l T^l densely, eigendecomposes both T

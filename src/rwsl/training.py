@@ -33,8 +33,8 @@ from typing import Optional
 
 import numpy as np
 
-from .clustering import (ClusterState, dead_cluster_count, hard_assign, kmeans,
-                         soft_assign, soft_assign_kl_grad, target_distribution)
+from .clustering import (dead_cluster_count, hard_assign, kmeans, soft_assign,
+                         soft_assign_kl_grad, target_distribution)
 from .errors import DivergenceError
 from .graph import CsrGraph, as_features, as_labels
 from .nn import (AdamWState, MlpModel, adamw_step, init_mlp, kl_divergence,
@@ -233,24 +233,15 @@ def _cotrain_step(models: tuple, opts: list, snapshot: MlpModel,
 class TrainResult:
     """Outputs of the co-train loop."""
 
-    cluster: ClusterState
+    assignments: np.ndarray         # N, hard assignment = row argmax of p_h
+    centroids: np.ndarray           # K x embedding width
+    p_z: np.ndarray                 # N x K, encoder-side soft assignment
+    p_h: np.ndarray                 # N x K, co-train-DNN soft assignment
     loss_history: np.ndarray        # columns: iteration, mse, kl_dnn, kl_enc, total
     dead_cluster_events: int
     encoder: MlpModel
     decoder: MlpModel
     dnn: MlpModel
-
-    @property
-    def assignments(self) -> np.ndarray:
-        return self.cluster.r
-
-    @property
-    def p_h(self) -> np.ndarray:
-        return self.cluster.p_h
-
-    @property
-    def p_z(self) -> np.ndarray:
-        return self.cluster.p_z
 
 
 def train_rwsl(g: CsrGraph, x_filtered: np.ndarray, x_raw: Optional[np.ndarray],
@@ -312,7 +303,6 @@ def train_rwsl(g: CsrGraph, x_filtered: np.ndarray, x_raw: Optional[np.ndarray],
     _retain_freed_heap()
 
     eps, v = cfg.epsilon, cfg.v
-    target = None
     dead_events = 0
     history = np.zeros((cfg.n_epochs, 5))
 
@@ -349,13 +339,11 @@ def train_rwsl(g: CsrGraph, x_filtered: np.ndarray, x_raw: Optional[np.ndarray],
         p_z[lo:hi] = soft_assign(z, centroids, v)
         logits, _, _ = mlp_forward(dnn, x_filtered[lo:hi], mix=mix_hidden, mix_eps=eps)
         p_h[lo:hi] = row_softmax(logits)
-    if target is None:
-        target = target_distribution(p_z)
-    assignments = as_labels(hard_assign(p_h), n_clusters)
-
-    state = ClusterState(n_clusters, centroids, p_z, p_h, target, assignments)
     return TrainResult(
-        cluster=state,
+        assignments=as_labels(hard_assign(p_h), n_clusters),
+        centroids=centroids,
+        p_z=p_z,
+        p_h=p_h,
         loss_history=history,
         dead_cluster_events=dead_events,
         encoder=encoder,

@@ -419,8 +419,9 @@ class TestSweeps:
     @pytest.mark.parametrize("values, changes", [
         ([], {}),
         ([0.5, 0.5], {}),
+        ([0.5, 1.5], {}),
         ([0.0, 1.0], {"labels": ""}),
-    ], ids=["empty", "repeated", "no-labels"])
+    ], ids=["empty", "repeated", "out-of-range", "no-labels"])
     def test_bad_sweep_arguments_rejected_before_loading(self, values, changes,
                                                          fixture_run_values, monkeypatch):
         import rwsl.pipeline as pl
@@ -681,6 +682,36 @@ class TestCli:
     def test_bench_stage_exit_code(self, tmp_path, capsys):
         assert cli_main(["bench", "--sizes", "300,200", "--out", str(tmp_path / "b")]) == 9
         assert "stage 'bench' failed: sizes must be strictly ascending" in capsys.readouterr().err
+
+    def test_bench_zero_repeats_exit_bench(self, tmp_path, capsys):
+        assert cli_main(["bench", "--sizes", "200", "--repeats", "0",
+                         "--out", str(tmp_path / "b")]) == 9
+        assert "stage 'bench' failed: repeats must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["pipeline", "train", "filter", "pretrain", "eval",
+                                         "bench", "sweep-epsilon"])
+    def test_out_is_a_file_exits_write(self, command, fixture_run_values, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory\n")
+        extra = {
+            "eval": ["--pred", fixture_run_values["labels"]],
+            "sweep-epsilon": ["--values", "0.0,0.5"],
+        }.get(command, [])
+        argv = [command, *_flags({**fixture_run_values, "out": str(taken)}), *extra]
+        if command == "bench":
+            argv = ["bench", "--sizes", "200", "--epochs", "1", "--repeats", "1",
+                    "--out", str(taken)]
+        assert cli_main(argv) == 8
+        assert "stage 'write' failed" in capsys.readouterr().err
+        assert taken.read_text() == "not a directory\n"
+
+    def test_eval_wrong_length_prediction_exits_eval(self, fixture_run_values, tmp_path,
+                                                     capsys):
+        short = tmp_path / "short_pred.txt"
+        save_labels(np.zeros(7, dtype=np.int64), short)
+        assert cli_main(["eval", *_flags(fixture_run_values), "--pred", str(short)]) == 7
+        assert "stage 'eval' failed" in capsys.readouterr().err
+        assert not Path(fixture_run_values["out"]).exists()
 
     def test_load_stage_exit_code(self, fixture_run_values, tmp_path):
         bad = tmp_path / "bad.txt"

@@ -107,7 +107,7 @@ class TestTrainRwsl:
     def test_distributions_are_row_stochastic(self, clique_inputs):
         g, xf, x, _ = clique_inputs
         res = train_rwsl(g, xf, x, 2, FAST)
-        for mat in (res.p_h, res.p_z, res.cluster.t):
+        for mat in (res.p_h, res.p_z):
             assert np.allclose(mat.sum(axis=1), 1.0, atol=1e-9)
         assert np.array_equal(res.assignments, np.argmax(res.p_h, axis=1))
 
@@ -166,13 +166,13 @@ class TestCheckpoint:
         res = train_rwsl(g, xf, x, 2, FAST)
         save_checkpoint(tmp_path / "ck.npz",
                         {"encoder": res.encoder, "decoder": res.decoder, "dnn": res.dnn},
-                        {"k": 2}, {"centroids": res.cluster.centroids})
+                        {"k": 2}, {"centroids": res.centroids})
         models, arrays, meta = load_checkpoint(tmp_path / "ck.npz")
         assert meta == {"k": 2}
         assert models["encoder"].layer_dims == res.encoder.layer_dims
         for a, b in zip(models["dnn"].weights, res.dnn.weights):
             assert np.array_equal(a, b)
-        assert np.array_equal(arrays["centroids"], res.cluster.centroids)
+        assert np.array_equal(arrays["centroids"], res.centroids)
 
     def test_loads_checkpoint_with_optimizer_and_rng_state(self, tmp_path):
         # earlier checkpoints also held the AdamW moments, the step and the RNG state
