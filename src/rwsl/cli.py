@@ -157,7 +157,7 @@ def _cmd_sweep(args, which: str) -> int:
 
 
 def _cmd_bench(args) -> int:
-    sizes = _int_list(args.sizes)
+    sizes = run_stage("config", _int_list, args.sizes)
     out_dir = Path(args.out)
     run_stage("write", out_dir.mkdir, parents=True, exist_ok=True)
     rows = run_stage("bench", bench_scalability, sizes, args.edge_factor, args.feat_dim,
@@ -172,12 +172,14 @@ def _cmd_bench(args) -> int:
 def _cmd_spectral(args) -> int:
     values = _collect_config(args)
     _require(values, ("n_nodes", "out"))
+    alphas = (run_stage("config", _float_list, args.alphas) if args.alphas
+              else [values.get("alpha", 0.1)])
+    run_stage("write", Path(values["out"]).mkdir, parents=True, exist_ok=True)
     if values.get("edges"):
         g_plain = run_stage("load", load_edge_list, values["edges"], values["n_nodes"])
     else:
         g_plain = run_stage("load", rmat_generate, values["n_nodes"], _SPECTRAL_EDGE_FACTOR,
                             values.get("seed", 0))
-    alphas = _float_list(args.alphas) if args.alphas else [values.get("alpha", 0.1)]
     hops = values.get("hops", 100)
     summary = run_stage("spectral", spectral_run, g_plain, alphas, hops, values["out"],
                         dense_limit=args.dense_limit)

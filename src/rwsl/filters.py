@@ -8,17 +8,16 @@ materializes a dense operator; it propagates ``FILTER_BLOCK`` feature columns
 at a time into one preallocated output, so beyond X and P its working set
 is O(n * FILTER_BLOCK) plus the operator) and an unbiased estimator of the
 untruncated (L -> infinity) filter (``filter_randomwalk``) for any rrz in
-[0, 1]. The estimator is bidirectional, as in GBP and FORA: it propagates
-the first L hops exactly and spends random walks only on the tail, whose
-mass is r = (1 - alpha)^(L + 1). Each node draws ceil(n_walks * r) walks
-that make L + 1 forced moves before their geometric ones, so the error
-shrinks as O(sqrt(r / n_walks)). The walks run for all nodes at once in
-chunks of at most ``WALK_CHUNK`` walks, each with its own RNG stream seeded
-by (seed, chunk index), so memory stays O(WALK_CHUNK + n * F) and the output
-is bit-identical across runs for a given seed. Each step gathers in place
-into the walk positions, and each chunk's endpoints are counted by one sort
-of int64 (walk source, endpoint) keys, which stay below 2^46 (2^15 rows
-times n < 2^31 columns).
+[0, 1]. The estimator is bidirectional, as in GBP and FORA, walks first:
+each node draws ceil(n_walks * r) whole walks, r = (1 - alpha)^(L + 1)
+being the mass past hop L, and L + 1 exact hops add the first L terms and
+smooth the walks' tail, so the error is at most O(sqrt(r / n_walks)). The
+walks run for all nodes at once in chunks of at most ``WALK_CHUNK`` walks,
+each with its own RNG stream seeded by (seed, chunk index), so memory stays
+O(WALK_CHUNK + n * F) and the output is bit-identical across runs for a
+given seed. Each step gathers in place into the walk positions, and each
+chunk's endpoints are counted by one sort of int64 (walk source, endpoint)
+keys, which stay below 2^46 (2^15 rows times n < 2^31 columns).
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from .graph import CsrGraph, as_features, graph_hash
 # Walks advanced together by ``filter_randomwalk``; bounds its temporaries.
 WALK_CHUNK = 2 ** 15
 
-# Feature columns propagated together by ``filter_exact``; bounds its temporaries.
+# Feature columns propagated together by both filters; bounds their temporaries.
 FILTER_BLOCK = 16
 
 
@@ -50,14 +49,14 @@ class FilterConfig:
              receptive field of the filter.
     hops     depth L of the exact propagation. The exact path truncates
              there and discards the tail mass r = (1 - alpha)^(L + 1); the
-             random-walk path computes these hops exactly and estimates the
-             tail by walks, so a larger L leaves less to the walks.
+             random-walk path computes them exactly and smooths the walks'
+             tail through them, so a larger L leaves less to the walks.
     rrz      degree-normalization exponent in [0, 1] splitting D^(rrz-1) A D^(-rrz).
     r_max    estimator accuracy knob; when n_walks is not given the walk
              budget per node is ceil(1 / r_max).
     n_walks  explicit walk budget per node (overrides r_max). The random-walk
-             path draws max(1, ceil(budget * r)) walks per node for the tail,
-             about sqrt(r) times the error of the full budget of whole walks.
+             path draws max(1, ceil(budget * r)) whole walks per node, at most
+             about sqrt(r) times the error of the full budget unsmoothed.
     filter_method  "exact" (``filter_exact``) or "randomwalk" (``filter_randomwalk``).
     """
 
@@ -146,44 +145,47 @@ def filter_exact(g: CsrGraph, x: np.ndarray, cfg: FilterConfig) -> np.ndarray:
 
 def filter_randomwalk(g: CsrGraph, x: np.ndarray, cfg: FilterConfig,
                       seed: int) -> np.ndarray:
-    """Estimate of the untruncated filter, for any rrz in [0, 1]: the first
-    ``cfg.hops`` hops exactly, the tail by random walks.
+    """Estimate of the untruncated filter F(x) = sum_{m>=0} alpha (1 - alpha)^m
+    T^m x, for any rrz in [0, 1]: whole walks smoothed by ``cfg.hops`` + 1
+    exact hops.
 
-    With L = ``cfg.hops`` and r = (1 - alpha)^(L + 1) the infinite sum splits
-    into the exact prefix sum_{l<=L} w_l T^l x (``filter_exact``) and the tail
-    r * T^(L+1) * sum_{m>=0} alpha (1 - alpha)^m T^m x. The tail is the
-    endpoint mixture of walks that make L + 1 forced moves and then stop with
-    probability alpha before each further move, so ``_walk_filter`` estimates
-    it without bias. Each node draws W = max(1, ceil(effective_n_walks * r))
-    such walks: the budget is spent in proportion to the residual mass r, as
-    in FORA's walk allocation. The prefix adds no error and the tail is
-    weighted by r, so the error is about sqrt(r) times that of the whole
-    budget spent on whole walks. Chunk c of the tail draws from the RNG
-    stream seeded by (seed, c), so the result is bit-identical across runs
-    for a given seed.
+    With L = ``cfg.hops`` and r = (1 - alpha)^(L + 1), F(x) is the head
+    sum_{l<=L} w_l T^l x plus the tail r * T^(L+1) * F(x). ``_walk_filter``
+    estimates F(x) without bias as y from max(1, ceil(effective_n_walks * r))
+    walks per node, as FORA sizes its walks, and one Horner pass adds head
+    and tail: acc = r * y, then acc = T * acc + w_l * x for l = L .. 0, which
+    averages each node's walk noise over its neighborhood. The pass runs on
+    ``FILTER_BLOCK`` columns at a time, so its temporaries stay
+    O(n * FILTER_BLOCK) and the bits do not depend on the block width.
     """
-    prefix = filter_exact(g, x, cfg)
-    forced = cfg.hops + 1
-    residual = (1.0 - cfg.alpha) ** forced
+    x = as_features(x)
+    residual = (1.0 - cfg.alpha) ** (cfg.hops + 1)
     n_walks = max(1, math.ceil(cfg.effective_n_walks * residual))
-    tail = _walk_filter(g, x, replace(cfg, n_walks=n_walks), seed, forced)
-    tail *= residual
-    tail += prefix
-    return tail
+    out = _walk_filter(g, x, replace(cfg, n_walks=n_walks), seed)
+    out *= residual
+    w = ppr_weights(cfg.alpha, cfg.hops)
+    op = _propagation_matrix(g, cfg.rrz)
+    for lo in range(0, x.shape[1], FILTER_BLOCK):
+        block = np.ascontiguousarray(x[:, lo:lo + FILTER_BLOCK])
+        acc = np.ascontiguousarray(out[:, lo:lo + FILTER_BLOCK])
+        scaled = np.empty_like(block)
+        for l in range(cfg.hops, -1, -1):
+            acc = op @ acc
+            acc += np.multiply(w[l], block, out=scaled)
+        out[:, lo:lo + FILTER_BLOCK] = acc
+    return out
 
 
-def _walk_filter(g: CsrGraph, x: np.ndarray, cfg: FilterConfig, seed: int,
-                 forced: int) -> np.ndarray:
-    """Monte-Carlo estimate of T^forced * sum_{l>=0} alpha (1 - alpha)^l T^l x
-    from ``cfg.effective_n_walks`` walks per node; at ``forced`` = 0 it is
-    the untruncated filter.
+def _walk_filter(g: CsrGraph, x: np.ndarray, cfg: FilterConfig, seed: int) -> np.ndarray:
+    """Monte-Carlo estimate of the untruncated filter sum_{l>=0} alpha
+    (1 - alpha)^l T^l x from ``cfg.effective_n_walks`` walks per node.
 
     With W = D^-1 A the uniform-neighbor transition matrix, the operator is
     T = D^rrz W D^-rrz, so T^l x = D^rrz W^l D^-rrz x and the geometric
     teleport mixture of T-powers equals the endpoint distribution of walks
-    that stop with probability alpha before each move; ``forced`` moves are
-    added to every walk's geometric length. Per node u the estimate averages
-    deg_v^-rrz x_v over the walks' endpoints v and rescales by deg_u^rrz.
+    that stop with probability alpha before each move. Per node u the
+    estimate averages deg_v^-rrz x_v over the walks' endpoints v and
+    rescales by deg_u^rrz.
 
     All nodes walk together in chunks of at most ``WALK_CHUNK`` walks: a chunk
     holds whole nodes, or one node's walks split into near-equal parts when
@@ -218,9 +220,8 @@ def _walk_filter(g: CsrGraph, x: np.ndarray, cfg: FilterConfig, seed: int,
         for size in part_sizes:
             rng = np.random.default_rng([seed, chunk])
             chunk += 1
-            # moves before stopping: P(l) = alpha * (1 - alpha)^(l - forced), l >= forced
-            lengths = rng.geometric(cfg.alpha, size=(hi - lo) * size)
-            lengths += forced - 1
+            # moves before stopping: P(l) = alpha * (1 - alpha)^l, l >= 0
+            lengths = rng.geometric(cfg.alpha, size=(hi - lo) * size) - 1
             # stable order by length (a radix sort on the narrowest dtype), so
             # the walks still moving at step s are the tail pos[starts[s]:]
             order = np.argsort(lengths.astype(np.min_scalar_type(lengths.max())),
@@ -270,7 +271,8 @@ def _endpoint_mix(src: np.ndarray, pos: np.ndarray, n_rows: int, n: int,
 # ---------------------------------------------------------------------------
 # filtered-feature cache
 
-_CACHE_VERSION = 3
+# per method, raised when its values change under an unchanged header
+_CACHE_VERSION = {"exact": 3, "randomwalk": 4}
 
 
 def _features_sha256(x: np.ndarray) -> str:
@@ -291,7 +293,7 @@ def filtered_cache_header(g: CsrGraph, cfg: FilterConfig, features: np.ndarray, 
     method's header records (and requires); an exact header has no seed.
     """
     header = {
-        "version": _CACHE_VERSION,
+        "version": _CACHE_VERSION[cfg.filter_method],
         "alpha": cfg.alpha,
         "hops": cfg.hops,
         "rrz": cfg.rrz,

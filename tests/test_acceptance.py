@@ -97,7 +97,7 @@ def test_criterion_02_randomwalk_estimator():
         x = rng.random((rmat.n_nodes, 4))
         exact = filter_exact(rmat, x, FilterConfig(alpha=0.2, hops=100, rrz=0.5))
         mae_base, mae_quad = [], []
-        for seed in range(10):
+        for seed in range(100):
             for budget, bucket in ((4_000, mae_base), (16_000, mae_quad)):
                 est = filter_randomwalk(rmat, x, FilterConfig(alpha=0.2, rrz=0.5,
                                                               n_walks=budget), seed=seed)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -48,7 +50,7 @@ def unblocked_filter_exact(g_aug, x, cfg):
 
 def reference_walk_filter(g, x, cfg, seed):
     """The fancy-index step and the scipy (row, col) -> CSR endpoint fold,
-    kept as the bit-exact oracle of ``_walk_filter`` with no forced moves."""
+    kept as the bit-exact oracle of ``_walk_filter``."""
     n = g.n_nodes
     deg = g.degrees.astype(np.float64)
     deg_pow = deg ** cfg.rrz
@@ -276,8 +278,8 @@ ORACLE_GRAPHS = {
 
 
 class TestFilterRandomwalk:
-    # the walk kernel ``_walk_filter`` with no forced moves is the whole-walk
-    # estimator; its chunking is checked around one and two chunks per node
+    # the walk kernel ``_walk_filter`` is the whole-walk estimator; its
+    # chunking is checked around one and two chunks per node
 
     @pytest.mark.parametrize("graph", sorted(ORACLE_GRAPHS))
     @pytest.mark.parametrize("n_walks", [1, 7, 1000, WALK_CHUNK - 1, WALK_CHUNK,
@@ -289,7 +291,7 @@ class TestFilterRandomwalk:
         for rrz in (0.0, 0.5, 1.0):
             cfg = FilterConfig(alpha=0.2, rrz=rrz, n_walks=n_walks)
             for seed in (0, 1):
-                assert np.array_equal(bits(_walk_filter(g, x, cfg, seed, 0)),
+                assert np.array_equal(bits(_walk_filter(g, x, cfg, seed)),
                                       bits(reference_walk_filter(g, x, cfg, seed))), \
                     (rrz, seed)
 
@@ -300,34 +302,21 @@ class TestFilterRandomwalk:
         g = augment_self_loops(from_edge_array(7, empty, empty))
         x = np.random.default_rng(9).standard_normal((7, 3))
         cfg = FilterConfig(alpha=0.3, rrz=0.4, n_walks=n_walks)
-        assert np.array_equal(_walk_filter(g, x, cfg, 1, 0), x)
+        assert np.array_equal(_walk_filter(g, x, cfg, 1), x)
         # one node's walks split over three chunks
         cfg = FilterConfig(alpha=0.3, rrz=0.4, n_walks=2 * WALK_CHUNK + 1)
-        np.testing.assert_allclose(_walk_filter(g, x, cfg, 1, 0), x, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(_walk_filter(g, x, cfg, 1), x, rtol=1e-14, atol=0)
 
     def test_deterministic_across_chunks(self):
         g = augment_self_loops(rmat_generate(300, 4, seed=3))
         x = np.random.default_rng(10).random((300, 2))
         cfg = FilterConfig(alpha=0.2, rrz=0.5, n_walks=1000)
         assert g.n_nodes * cfg.n_walks > 3 * WALK_CHUNK
-        a = _walk_filter(g, x, cfg, 11, 0)
-        b = _walk_filter(g, x, cfg, 11, 0)
-        c = _walk_filter(g, x, cfg, 12, 0)
+        a = _walk_filter(g, x, cfg, 11)
+        b = _walk_filter(g, x, cfg, 11)
+        c = _walk_filter(g, x, cfg, 12)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
-
-    @pytest.mark.parametrize("forced", [1, 17])
-    def test_forced_moves_exact_on_self_loops_only(self, forced):
-        # every move, forced or geometric, stays on the node: each row is
-        # its own features exactly, whole nodes per chunk or split
-        empty = np.array([], dtype=np.int64)
-        g = augment_self_loops(from_edge_array(7, empty, empty))
-        x = np.random.default_rng(forced).standard_normal((7, 3))
-        cfg = FilterConfig(alpha=0.3, rrz=0.4, n_walks=WALK_CHUNK // 2 - 1)
-        assert np.array_equal(_walk_filter(g, x, cfg, 2, forced), x)
-        cfg = FilterConfig(alpha=0.3, rrz=0.4, n_walks=2 * WALK_CHUNK + 1)
-        np.testing.assert_allclose(_walk_filter(g, x, cfg, 2, forced), x,
-                                   rtol=1e-14, atol=0)
 
     def test_lone_node_exact(self):
         out = filter_randomwalk(lone_node(), np.array([[4.0, 1.0]]),
@@ -335,15 +324,44 @@ class TestFilterRandomwalk:
         assert np.allclose(out, [[4.0, 1.0]])
 
     def test_zero_hops_split_matches_formula(self):
-        # hops = 0: alpha * x plus (1 - alpha) times a tail of
-        # ceil(1000 * (1 - alpha)) = 500 walks with one forced move
+        # hops = 0: alpha * x plus T times (1 - alpha) times the whole-walk
+        # estimate from ceil(1000 * (1 - alpha)) = 500 walks
         g = augment_self_loops(rmat_generate(40, 4, seed=2))
         x = np.random.default_rng(12).standard_normal((40, 3))
         cfg = FilterConfig(alpha=0.5, hops=0, rrz=0.4, n_walks=1000)
-        tail = _walk_filter(g, x, FilterConfig(alpha=0.5, hops=0, rrz=0.4, n_walks=500),
-                            7, 1)
-        want = 0.5 * tail + 0.5 * x
+        y = _walk_filter(g, x, replace(cfg, n_walks=500), 7)
+        op = _propagation_matrix(g, cfg.rrz)
+        want = 0.5 * x + op @ (0.5 * y)
         assert np.array_equal(bits(filter_randomwalk(g, x, cfg, 7)), bits(want))
+
+    def test_two_hops_horner_order(self):
+        # r = 0.5^3: 125 walks; acc = r * y, then acc = T acc + w_l x for l = 2, 1, 0
+        g = augment_self_loops(rmat_generate(40, 4, seed=3))
+        x = np.random.default_rng(13).standard_normal((40, 3))
+        cfg = FilterConfig(alpha=0.5, hops=2, rrz=0.4, n_walks=1000)
+        y = _walk_filter(g, x, replace(cfg, n_walks=125), 8)
+        op = _propagation_matrix(g, cfg.rrz)
+        want = op @ (op @ (op @ (0.125 * y) + 0.125 * x) + 0.25 * x) + 0.5 * x
+        assert np.array_equal(bits(filter_randomwalk(g, x, cfg, 8)), bits(want))
+
+    @pytest.mark.parametrize("block", [1, 5, 64])
+    def test_block_width_does_not_change_bits(self, block, monkeypatch):
+        import rwsl.filters as filters
+        g = augment_self_loops(rmat_generate(200, 5, seed=4))
+        x = np.random.default_rng(16).standard_normal((200, 33))
+        cfg = FilterConfig(alpha=0.2, hops=4, rrz=0.5, n_walks=300)
+        want = filter_randomwalk(g, x, cfg, 3)
+        monkeypatch.setattr(filters, "FILTER_BLOCK", block)
+        assert np.array_equal(bits(filter_randomwalk(g, x, cfg, 3)), bits(want))
+
+    def test_error_at_budget_1000(self):
+        # regression guard: seeds 0-19 read 2.5e-4 to 7.8e-4 (3.4e-4 at seed
+        # 0); walks with L + 1 forced moves and an exact prefix read 0.009
+        g = augment_self_loops(rmat_generate(1000, 10, seed=1))
+        x = np.random.default_rng(17).standard_normal((1000, 8))
+        ref = filter_exact(g, x, FilterConfig(alpha=0.1, hops=200, rrz=0.5))
+        est = filter_randomwalk(g, x, FilterConfig(alpha=0.1, rrz=0.5, n_walks=1000), 0)
+        assert np.abs(est - ref).mean() < 1e-3
 
     def test_any_rrz_matches_exact(self):
         # MAE reads 0.002-0.004 at this budget; scaling by the wrong rrz
@@ -387,7 +405,7 @@ class TestFilterRandomwalk:
 
     def test_seed_mean_converges_to_long_hop_exact(self):
         # a short exact prefix leaves most of the mass to the walks, so an
-        # off-by-one in the forced moves or the tail weight shows as bias
+        # off-by-one in the hop count or the tail weight shows as bias
         g = augment_self_loops(rmat_generate(60, 4, seed=11))
         x = np.random.default_rng(14).random((60, 3))
         ref = filter_exact(g, x, FilterConfig(alpha=0.2, hops=200, rrz=0.5))
@@ -404,7 +422,7 @@ class TestFilterRandomwalk:
         cfg = FilterConfig(alpha=0.2, rrz=0.5, n_walks=2000)
         for seed in range(5):
             split = np.abs(filter_randomwalk(g, x, cfg, seed) - ref).mean()
-            whole = np.abs(_walk_filter(g, x, cfg, seed, 0) - ref).mean()
+            whole = np.abs(_walk_filter(g, x, cfg, seed) - ref).mean()
             assert split < whole, (seed, split, whole)
 
 
@@ -422,11 +440,13 @@ class TestCache:
             filtered_cache_header(g, cfg, x)
 
     def test_previous_version_randomwalk_rejected(self, tmp_path):
-        # a version-2 random-walk cache holds the whole-walk estimate
+        # a version-3 random-walk cache holds the forced-move estimate; the
+        # exact filter's values did not change, so its caches keep version 3
         g, x, cfg = path3(), np.eye(3), FilterConfig(n_walks=50, filter_method="randomwalk")
         header = filtered_cache_header(g, cfg, x, seed=0)
-        assert header["version"] == 3
-        save_filtered_cache(tmp_path / "c.npz", np.ones((3, 2)), {**header, "version": 2})
+        assert header["version"] == 4
+        assert filtered_cache_header(g, FilterConfig(), x)["version"] == 3
+        save_filtered_cache(tmp_path / "c.npz", np.ones((3, 2)), {**header, "version": 3})
         with pytest.raises(CacheMismatchError, match="version"):
             load_filtered_cache(tmp_path / "c.npz", header)
 

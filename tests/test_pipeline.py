@@ -689,7 +689,7 @@ class TestCli:
         assert "stage 'bench' failed: repeats must be >= 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["pipeline", "train", "filter", "pretrain", "eval",
-                                         "bench", "sweep-epsilon"])
+                                         "bench", "sweep-epsilon", "spectral"])
     def test_out_is_a_file_exits_write(self, command, fixture_run_values, tmp_path, capsys):
         taken = tmp_path / "taken"
         taken.write_text("not a directory\n")
@@ -701,9 +701,19 @@ class TestCli:
         if command == "bench":
             argv = ["bench", "--sizes", "200", "--epochs", "1", "--repeats", "1",
                     "--out", str(taken)]
+        if command == "spectral":
+            argv = ["spectral", "--n-nodes", "30", "--out", str(taken)]
         assert cli_main(argv) == 8
         assert "stage 'write' failed" in capsys.readouterr().err
         assert taken.read_text() == "not a directory\n"
+
+    @pytest.mark.parametrize("argv", [["bench", "--sizes", "1,x"],
+                                      ["spectral", "--n-nodes", "30", "--alphas", "0.1,y"]])
+    def test_bad_number_list_exits_config(self, argv, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert cli_main([*argv, "--out", str(out)]) == 2
+        assert "stage 'config' failed" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_eval_wrong_length_prediction_exits_eval(self, fixture_run_values, tmp_path,
                                                      capsys):
