@@ -50,12 +50,19 @@ def _require(values: dict, keys) -> None:
         raise PipelineStageError("config", ValueError(f"missing required options: {missing}"))
 
 
+def _number_list(text: str, parse) -> list:
+    values = [parse(tok) for tok in text.replace(";", ",").split(",") if tok.strip()]
+    if not values:
+        raise ValueError(f"no values in {text!r}")
+    return values
+
+
 def _float_list(text: str):
-    return [float(tok) for tok in text.replace(";", ",").split(",") if tok.strip()]
+    return _number_list(text, float)
 
 
 def _int_list(text: str):
-    return [int(tok) for tok in text.replace(";", ",").split(",") if tok.strip()]
+    return _number_list(text, int)
 
 
 # ---------------------------------------------------------------------------

@@ -87,8 +87,9 @@ def mlp_forward(model: MlpModel, x: np.ndarray, dropout: float = 0.0,
     Hidden activations are the post-ReLU values before mixing/dropout.
     ``mix`` optionally blends constant per-layer arrays into hidden layers:
     h~ = (1 - mix_eps) * h + mix_eps * mix[l]. Dropout uses inverted
-    scaling, applied only when ``training``; pass ``masks`` to replay a
-    recorded set of boolean keep-masks (used by gradient checks).
+    scaling, applied only when ``training``; pass ``masks`` to use a set of
+    boolean keep-masks drawn beforehand (gradient checks replay recorded
+    ones; the co-train step draws them on its calling thread).
     ``x`` and ``mix`` are only read.
     """
     if x.shape[1] != model.layer_dims[0]:

@@ -15,19 +15,33 @@ while every batch in an iteration sees the same blend values.
 
 Each mini-batch runs in its own step function, so nothing of one step is
 alive during the next. Every model has its own AdamW state and is updated
-right after its own backward pass (decoder, then encoder, then DNN), after
-which its gradients and forward cache are dropped. A step therefore holds
-the parameters, the frozen snapshot, the AdamW moments, one model's
-gradients and one batch's activations. Each backward reads only its own
-model's weights and AdamW is elementwise, so the values are the same as
-one joint update after all three backward passes. The memory a step frees
-stays in the process for the next step (``_retain_freed_heap``).
+right after its own backward pass, after which its gradients and forward
+cache are dropped. Each backward reads only its own model's weights and
+AdamW is elementwise, so the values are the same as one joint update after
+all three backward passes. The memory a step frees stays in the process
+for the next step (``_retain_freed_heap``).
+
+Within a step the autoencoder branch (encoder, decoder) and the DNN branch
+(snapshot, DNN) are independent until the losses and again after them.
+When a second CPU would otherwise sit idle (``_helper_pays``), one helper
+thread runs the DNN branch's forward and its backward and update while the
+calling thread runs the autoencoder's; the k-means-init forward, the target
+refresh and the final evaluation send every other batch to it. The calling
+thread draws every dropout mask in the serial order, each matmul keeps its
+operands and every batch writes its own rows, so all values are
+bit-identical to a serial run. A step then holds the parameters, the
+frozen snapshot, the AdamW moments, at most two models' gradients (one per
+thread) and one batch's activations.
 """
 
 from __future__ import annotations
 
 import ctypes
 import json
+import os
+import re
+from concurrent.futures import Future, ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Optional
 
@@ -106,10 +120,89 @@ def _batch_slices(n: int, batch_size: int):
         yield lo, min(lo + batch_size, n)
 
 
-def _forward_batched(model: MlpModel, x: np.ndarray, batch_size: int) -> np.ndarray:
+# Forward multiply-adds of one co-train step below which the helper thread
+# costs more than it saves. On a 2-vCPU VM with one BLAS thread (2000 rows,
+# batch 256, 2 epochs), steps of 5M-30M multiply-adds ran 3-6% slower with
+# it, 47M 7% faster and 439M 29% faster.
+HELPER_MIN_STEP_MACS = 1 << 25
+
+# the variables each BLAS takes its thread count from, in the order it reads them
+_BLAS_THREAD_VARS = {
+    "openblas": ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"),
+    "mkl": ("MKL_NUM_THREADS", "OMP_NUM_THREADS"),
+}
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _blas_threads() -> int:
+    """Threads per call that numpy's BLAS takes from the environment.
+
+    Reads OpenBLAS's or MKL's variables in that library's order, each as C's
+    ``atoi`` does; the first positive value wins. 0 when none is set (the
+    BLAS then uses every CPU) or when numpy's BLAS is another library.
+    """
+    config = getattr(np.__config__, "CONFIG", {})
+    name = config.get("Build Dependencies", {}).get("blas", {}).get("name") or ""
+    for vendor, names in _BLAS_THREAD_VARS.items():
+        if vendor in name.lower():
+            for var in names:
+                value = re.match(r"\s*\+?(\d+)", os.environ.get(var, ""))
+                if value and int(value.group(1)) > 0:
+                    return int(value.group(1))
+    return 0
+
+
+def _helper_pays(step_macs: int) -> bool:
+    """Whether a helper thread shortens a co-train: a second CPU is free,
+    each BLAS call runs on one thread, and a step's dense work is large
+    enough to outweigh the hand-offs."""
+    return (_usable_cpus() >= 2 and _blas_threads() == 1
+            and step_macs >= HELPER_MIN_STEP_MACS)
+
+
+class _Inline:
+    """Executor stand-in that runs each call as it is submitted."""
+
+    @staticmethod
+    def submit(fn, *args) -> Future:
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+def _macs_per_row(dims) -> int:
+    return sum(a * b for a, b in zip(dims[:-1], dims[1:]))
+
+
+def _each_batch(helper, n: int, batch_size: int, fn) -> None:
+    """Call ``fn(lo, hi)`` for every batch, every other one on the helper.
+
+    Two batches run at a time; each must write only its own rows."""
+    pending = None
+    for i, (lo, hi) in enumerate(_batch_slices(n, batch_size)):
+        if i % 2 == 0:
+            pending = helper.submit(fn, lo, hi)
+        else:
+            fn(lo, hi)
+            pending.result()
+            pending = None
+    if pending is not None:
+        pending.result()
+
+
+def _forward_batched(model: MlpModel, x: np.ndarray, batch_size: int,
+                     helper) -> np.ndarray:
     out = np.empty((x.shape[0], model.layer_dims[-1]))
-    for lo, hi in _batch_slices(x.shape[0], batch_size):
+
+    def run(lo, hi):
         out[lo:hi] = mlp_forward(model, x[lo:hi])[0]
+
+    _each_batch(helper, x.shape[0], batch_size, run)
     return out
 
 
@@ -189,23 +282,40 @@ def _pretrain_step(encoder: MlpModel, decoder: MlpModel, opts: list,
     _backward_update(encoder, ecache, d_z, opts[0], lr, wd)
 
 
+def _dropout_masks(model: MlpModel, rows: int, p: float,
+                   rng: np.random.Generator) -> Optional[list]:
+    """The keep-masks a training ``mlp_forward`` of ``rows`` rows would draw."""
+    if p == 0.0:
+        return None
+    return [rng.random((rows, width)) >= p for width in model.layer_dims[1:-1]]
+
+
 def _cotrain_step(models: tuple, opts: list, snapshot: MlpModel,
                   centroids: np.ndarray, xa_b: np.ndarray, xf_b: np.ndarray,
-                  t_b: np.ndarray, cfg: TrainConfig, rng: np.random.Generator) -> tuple:
-    """One co-train mini-batch; returns (mse, kl_dnn, kl_enc, total)."""
+                  t_b: np.ndarray, cfg: TrainConfig, rng: np.random.Generator,
+                  helper) -> tuple:
+    """One co-train mini-batch; returns (mse, kl_dnn, kl_enc, total).
+
+    The DNN branch runs on ``helper``, the autoencoder on the calling
+    thread, which alone draws from ``rng`` (encoder, decoder, then DNN
+    masks, the order of a serial step)."""
     encoder, decoder, dnn = models
-    beta, gamma, eps, v = cfg.beta, cfg.gamma, cfg.epsilon, cfg.v
+    beta, gamma, eps, v, p = cfg.beta, cfg.gamma, cfg.epsilon, cfg.v, cfg.dropout_rate
+    enc_masks, dec_masks, dnn_masks = (_dropout_masks(m, len(xa_b), p, rng) for m in models)
 
-    # frozen iteration-start activations for blending
-    _, mix_hidden, _ = mlp_forward(snapshot, xa_b)
+    def dnn_forward():
+        # frozen iteration-start activations for blending
+        _, mix_hidden, _ = mlp_forward(snapshot, xa_b)
+        logits, _, hcache = mlp_forward(dnn, xf_b, p, True, masks=dnn_masks,
+                                        mix=mix_hidden, mix_eps=eps)
+        return logits, hcache
 
-    z, _, ecache = mlp_forward(encoder, xa_b, cfg.dropout_rate, True, rng)
-    xr, _, dcache = mlp_forward(decoder, z, cfg.dropout_rate, True, rng)
+    dnn_pass = helper.submit(dnn_forward)
+    z, _, ecache = mlp_forward(encoder, xa_b, p, True, masks=enc_masks)
+    xr, _, dcache = mlp_forward(decoder, z, p, True, masks=dec_masks)
     l_mse, d_xr = mse_loss(xa_b, xr)
-
-    logits, _, hcache = mlp_forward(dnn, xf_b, cfg.dropout_rate, True, rng,
-                                    mix=mix_hidden, mix_eps=eps)
-    del mix_hidden
+    logits, hcache = dnn_pass.result()
+    del dnn_pass
     if not (np.isfinite(z).all() and np.isfinite(logits).all()):
         raise DivergenceError("co-training diverged; lower learning_rate")
 
@@ -221,11 +331,13 @@ def _cotrain_step(models: tuple, opts: list, snapshot: MlpModel,
         raise DivergenceError("co-training diverged; lower learning_rate")
 
     lr, wd = cfg.learning_rate, cfg.weight_decay
+    dnn_update = helper.submit(_backward_update, dnn, hcache, beta * d_logits,
+                               opts[2], lr, wd)
+    del hcache      # freed once the DNN's update is done
     d_z = _backward_update(decoder, dcache, d_xr, opts[1], lr, wd)
     del xr, dcache, d_xr
     _backward_update(encoder, ecache, d_z + gamma * d_z_kl, opts[0], lr, wd)
-    del ecache, d_z, d_z_kl
-    _backward_update(dnn, hcache, beta * d_logits, opts[2], lr, wd)
+    dnn_update.result()
     return l_mse, l_h, l_z, l_tot
 
 
@@ -259,8 +371,10 @@ def train_rwsl(g: CsrGraph, x_filtered: np.ndarray, x_raw: Optional[np.ndarray],
     per model on the combined loss; (5) finalize with a full-graph evaluation
     pass and a hard argmax assignment.
 
-    Deterministic for a given (inputs, config) pair. The final embeddings
-    are consumed batch by batch and never held as an N x embedding matrix.
+    Deterministic for a given (inputs, config) pair, and bit-identical
+    whether or not steps (2)-(5) use a helper thread (``_helper_pays``).
+    The final embeddings are consumed batch by batch and never held as an
+    N x embedding matrix.
     """
     x_filtered = as_features(x_filtered)
     if x_filtered.shape[0] != g.n_nodes:
@@ -286,59 +400,64 @@ def train_rwsl(g: CsrGraph, x_filtered: np.ndarray, x_raw: Optional[np.ndarray],
     rng = np.random.default_rng([cfg.seed, 2])
     dnn = init_mlp((d, *cfg.architecture[:-1], n_clusters), rng)
 
-    # centroid init from (optionally subsampled) embeddings; unsampled, they
-    # are also the first target refresh's encoder outputs (same batches, and
-    # no step is taken in between)
-    z_first = None
-    if cfg.kmeans_sample_cap and n > cfg.kmeans_sample_cap:
-        sample = np.sort(rng.choice(n, size=cfg.kmeans_sample_cap, replace=False))
-        emb = _forward_batched(encoder, ae_x[sample], cfg.batch_size)
-    else:
-        emb = z_first = _forward_batched(encoder, ae_x, cfg.batch_size)
-    centroids, _ = kmeans(emb, n_clusters, seed=cfg.seed, max_iters=cfg.kmeans_max_iters)
-    del emb
-
-    models = (encoder, decoder, dnn)
-    opts = [AdamWState.for_params(m.parameters()) for m in models]
-    _retain_freed_heap()
-
+    step_macs = (min(cfg.batch_size, n)
+                 * (3 * _macs_per_row(enc_dims) + _macs_per_row(dnn.layer_dims)))
     eps, v = cfg.epsilon, cfg.v
     dead_events = 0
     history = np.zeros((cfg.n_epochs, 5))
 
-    def _p_z_from(model: MlpModel, z_all: Optional[np.ndarray]) -> np.ndarray:
-        p = np.empty((n, n_clusters))
-        for lo, hi in _batch_slices(n, cfg.batch_size):
-            z = mlp_forward(model, ae_x[lo:hi])[0] if z_all is None else z_all[lo:hi]
-            p[lo:hi] = soft_assign(z, centroids, v)
-        return p
+    # the helper thread, joined on every exit; below the gate each call runs inline
+    with (ThreadPoolExecutor(1, thread_name_prefix="rwsl-cotrain")
+          if _helper_pays(step_macs) else nullcontext(_Inline())) as helper:
+        # centroid init from (optionally subsampled) embeddings; unsampled,
+        # they are also the first target refresh's encoder outputs (same
+        # batches, and no step is taken in between)
+        z_first = None
+        if cfg.kmeans_sample_cap and n > cfg.kmeans_sample_cap:
+            sample = np.sort(rng.choice(n, size=cfg.kmeans_sample_cap, replace=False))
+            emb = _forward_batched(encoder, ae_x[sample], cfg.batch_size, helper)
+        else:
+            emb = z_first = _forward_batched(encoder, ae_x, cfg.batch_size, helper)
+        centroids, _ = kmeans(emb, n_clusters, seed=cfg.seed,
+                              max_iters=cfg.kmeans_max_iters)
+        del emb
 
-    for it in range(cfg.n_epochs):
-        snapshot = encoder.copy()
-        if it % cfg.update_p == 0:
-            p_z_iter = _p_z_from(snapshot, z_first)
-            z_first = None
-            dead_events += dead_cluster_count(p_z_iter)
-            target = target_distribution(p_z_iter)
-        order = rng.permutation(n)
-        batch_losses = []
-        for lo, hi in _batch_slices(n, cfg.batch_size):
-            idx = order[lo:hi]
-            batch_losses.append(_cotrain_step(models, opts, snapshot, centroids,
-                                              ae_x[idx], x_filtered[idx], target[idx],
-                                              cfg, rng))
+        p_z = np.empty((n, n_clusters))     # each refresh's, then the final pass's
+        models = (encoder, decoder, dnn)
+        opts = [AdamWState.for_params(m.parameters()) for m in models]
+        _retain_freed_heap()
 
-        mean = np.mean(batch_losses, axis=0)
-        history[it] = (it, *mean)
+        def refresh_batch(lo, hi):
+            z = mlp_forward(snapshot, ae_x[lo:hi])[0] if z_first is None else z_first[lo:hi]
+            p_z[lo:hi] = soft_assign(z, centroids, v)
 
-    # final evaluation pass (no dropout), batch-bounded
-    p_z = np.empty((n, n_clusters))
-    p_h = np.empty((n, n_clusters))
-    for lo, hi in _batch_slices(n, cfg.batch_size):
-        z, mix_hidden, _ = mlp_forward(encoder, ae_x[lo:hi])
-        p_z[lo:hi] = soft_assign(z, centroids, v)
-        logits, _, _ = mlp_forward(dnn, x_filtered[lo:hi], mix=mix_hidden, mix_eps=eps)
-        p_h[lo:hi] = row_softmax(logits)
+        for it in range(cfg.n_epochs):
+            snapshot = encoder.copy()
+            if it % cfg.update_p == 0:
+                _each_batch(helper, n, cfg.batch_size, refresh_batch)
+                z_first = None
+                dead_events += dead_cluster_count(p_z)
+                target = target_distribution(p_z)
+            order = rng.permutation(n)
+            batch_losses = []
+            for lo, hi in _batch_slices(n, cfg.batch_size):
+                idx = order[lo:hi]
+                batch_losses.append(_cotrain_step(models, opts, snapshot, centroids,
+                                                  ae_x[idx], x_filtered[idx], target[idx],
+                                                  cfg, rng, helper))
+
+            mean = np.mean(batch_losses, axis=0)
+            history[it] = (it, *mean)
+
+        def final_batch(lo, hi):
+            # no dropout; the encoder's hidden activations are the DNN's mix
+            z, mix_hidden, _ = mlp_forward(encoder, ae_x[lo:hi])
+            p_z[lo:hi] = soft_assign(z, centroids, v)
+            logits, _, _ = mlp_forward(dnn, x_filtered[lo:hi], mix=mix_hidden, mix_eps=eps)
+            p_h[lo:hi] = row_softmax(logits)
+
+        p_h = np.empty((n, n_clusters))
+        _each_batch(helper, n, cfg.batch_size, final_batch)
     return TrainResult(
         assignments=as_labels(hard_assign(p_h), n_clusters),
         centroids=centroids,

@@ -708,7 +708,9 @@ class TestCli:
         assert taken.read_text() == "not a directory\n"
 
     @pytest.mark.parametrize("argv", [["bench", "--sizes", "1,x"],
-                                      ["spectral", "--n-nodes", "30", "--alphas", "0.1,y"]])
+                                      ["spectral", "--n-nodes", "30", "--alphas", "0.1,y"],
+                                      ["bench", "--sizes", ","],
+                                      ["spectral", "--n-nodes", "30", "--alphas", ","]])
     def test_bad_number_list_exits_config(self, argv, tmp_path, capsys):
         out = tmp_path / "out"
         assert cli_main([*argv, "--out", str(out)]) == 2

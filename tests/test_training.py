@@ -2,16 +2,22 @@ import ctypes
 import json
 import resource
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from rwsl.clustering import soft_assign, soft_assign_kl_grad
 from rwsl.errors import DivergenceError
 from rwsl.filters import FilterConfig, filter_exact
 from rwsl.graph import augment_self_loops, rmat_generate
 from rwsl import training
-from rwsl.nn import AdamWState, init_mlp, mlp_forward, mse_loss
+from rwsl.nn import (AdamWState, init_mlp, kl_divergence, mlp_forward, mse_loss,
+                     row_softmax)
 from rwsl.pipeline import loss_history_to_csv
 from rwsl.training import (TrainConfig, load_checkpoint, pretrain_autoencoder,
                            save_checkpoint, train_rwsl)
@@ -243,15 +249,215 @@ class TestPassCount:
         assert len(calls) == want
 
 
+def force_helper(monkeypatch, on: bool):
+    """Open (two CPUs) or close (one CPU) the helper-thread gate at any step size."""
+    monkeypatch.setattr(training, "HELPER_MIN_STEP_MACS", 0)
+    monkeypatch.setattr(training, "_usable_cpus", lambda: 2 if on else 1)
+    monkeypatch.setattr(training, "_blas_threads", lambda: 1)
+
+
+@pytest.fixture
+def forward_threads(monkeypatch):
+    """Names of the threads that ran train_rwsl's forward passes."""
+    names = []
+    forward = training.mlp_forward
+
+    def recording_forward(*args, **kwargs):
+        names.append(threading.current_thread().name)
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(training, "mlp_forward", recording_forward)
+    return names
+
+
+def no_executor(*args, **kwargs):
+    raise AssertionError("a helper thread was started")
+
+
+BLAS_NAME = (getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {})
+             .get("blas", {}).get("name") or "")
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "MKL_NUM_THREADS",
+             "OMP_NUM_THREADS")
+
+
+def serial_step(models, opts, snapshot, centroids, xa_b, xf_b, t_b, cfg, rng):
+    """Oracle: the co-train step on one thread, each forward drawing its own
+    dropout masks, the models updated decoder, encoder, then DNN."""
+    encoder, decoder, dnn = models
+    p = cfg.dropout_rate
+    _, mix_hidden, _ = mlp_forward(snapshot, xa_b)
+    z, _, ecache = mlp_forward(encoder, xa_b, p, True, rng)
+    xr, _, dcache = mlp_forward(decoder, z, p, True, rng)
+    l_mse, d_xr = mse_loss(xa_b, xr)
+    logits, _, hcache = mlp_forward(dnn, xf_b, p, True, rng, mix=mix_hidden,
+                                    mix_eps=cfg.epsilon)
+    q_z = soft_assign(z, centroids, cfg.v)
+    l_z, _ = kl_divergence(t_b, q_z)
+    d_z_kl = soft_assign_kl_grad(t_b, q_z, z, centroids, cfg.v)
+    l_h, d_logits = kl_divergence(t_b, row_softmax(logits))
+    lr, wd = cfg.learning_rate, cfg.weight_decay
+    d_z = training._backward_update(decoder, dcache, d_xr, opts[1], lr, wd)
+    training._backward_update(encoder, ecache, d_z + cfg.gamma * d_z_kl, opts[0], lr, wd)
+    training._backward_update(dnn, hcache, cfg.beta * d_logits, opts[2], lr, wd)
+    return l_mse, l_h, l_z, l_mse + cfg.beta * l_h + cfg.gamma * l_z
+
+
+class TestHelperThread:
+    # 96 rows in 3 batches of 32: the batched passes end on a lone helper
+    # batch. One step is 35M multiply-adds, above HELPER_MIN_STEP_MACS.
+    ARCH = (256, 1024, 8)
+    N, D, K = 96, 16, 4
+    CFG = TrainConfig(architecture=ARCH, batch_size=32, n_epochs=3, update_p=2,
+                      pretrain_n_epochs=1, learning_rate=1e-3, pretrain_lr=1e-3)
+
+    def inputs(self):
+        x = np.random.default_rng(0).standard_normal((self.N, self.D))
+        return rmat_generate(self.N, 4, seed=1), x
+
+    def run_recorded(self, monkeypatch, cfg):
+        """train_rwsl, plus every AdamW state and RNG it made."""
+        states, rngs = [], []
+        make_rng = np.random.default_rng
+
+        def for_params(params):
+            states.append(AdamWState.for_params(params))
+            return states[-1]
+
+        def recording_rng(*args, **kwargs):
+            rngs.append(make_rng(*args, **kwargs))
+            return rngs[-1]
+
+        g, x = self.inputs()
+        with monkeypatch.context() as m:
+            m.setattr(training, "AdamWState", SimpleNamespace(for_params=for_params))
+            m.setattr(np.random, "default_rng", recording_rng)
+            res = train_rwsl(g, x, None, self.K, cfg)
+        return res, states, rngs
+
+    @pytest.mark.parametrize("cap", [0, 40])
+    def test_bit_identical_to_inline(self, monkeypatch, forward_threads, cap):
+        cfg = replace(self.CFG, kmeans_sample_cap=cap)
+        runs, threads = [], []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)     # interleave the two threads' Python code finely
+        try:
+            for on in (False, True):
+                force_helper(monkeypatch, on)
+                forward_threads.clear()
+                runs.append(self.run_recorded(monkeypatch, cfg))
+                threads.append(set(forward_threads))
+        finally:
+            sys.setswitchinterval(interval)
+        assert threads[0] == {threading.current_thread().name}
+        assert any(name.startswith("rwsl-cotrain") for name in threads[1])
+
+        (inline, inline_states, inline_rngs), (helped, helped_states, helped_rngs) = runs
+        for name in ("centroids", "p_h", "p_z", "loss_history", "assignments"):
+            assert np.array_equal(getattr(inline, name), getattr(helped, name)), name
+        for name in ("encoder", "decoder", "dnn"):
+            for a, b in zip(getattr(inline, name).parameters(),
+                            getattr(helped, name).parameters()):
+                assert np.array_equal(a, b), name
+        assert len(inline_states) == len(helped_states) == 5   # pretrain 2, co-train 3
+        for a, b in zip(inline_states, helped_states):
+            assert a.step == b.step
+            assert all(np.array_equal(u, w) for u, w in zip(a.m + a.v, b.m + b.v))
+        assert len(inline_rngs) == len(helped_rngs) >= 2
+        for a, b in zip(inline_rngs, helped_rngs):
+            assert np.array_equal(a.random(4), b.random(4))
+
+    @pytest.mark.parametrize("threaded", [False, True])
+    def test_step_matches_serial_oracle(self, threaded):
+        cfg = replace(self.CFG, dropout_rate=0.3)
+        rng = np.random.default_rng(5)
+        xa, xf = rng.standard_normal((2, 40, self.D))
+        t = rng.dirichlet(np.ones(self.K), size=40)
+        centroids = rng.standard_normal((self.K, self.ARCH[-1]))
+        encoder = init_mlp((self.D, *self.ARCH), rng)
+        models = (encoder, init_mlp((*self.ARCH[::-1], self.D), rng),
+                  init_mlp((self.D, *self.ARCH[:-1], self.K), rng))
+        snapshot = encoder.copy()
+        runs = []
+        for step in (serial_step, training._cotrain_step):
+            ms = tuple(m.copy() for m in models)
+            opts = [AdamWState.for_params(m.parameters()) for m in ms]
+            step_rng = np.random.default_rng(7)
+            helper = (ThreadPoolExecutor(1) if threaded and step is not serial_step
+                      else nullcontext(training._Inline()))
+            with helper as h:
+                extra = () if step is serial_step else (h,)
+                losses = [step(ms, opts, snapshot, centroids, xa[lo:lo + 16], xf[lo:lo + 16],
+                               t[lo:lo + 16], cfg, step_rng, *extra) for lo in (0, 16, 32)]
+            runs.append((losses, ms, opts, step_rng.random(4)))
+        (want, want_ms, want_opts, want_next), (got, got_ms, got_opts, got_next) = runs
+        assert got == want
+        for a, b in zip(want_ms, got_ms):
+            assert all(np.array_equal(u, w) for u, w in zip(a.parameters(), b.parameters()))
+        for a, b in zip(want_opts, got_opts):
+            assert all(np.array_equal(u, w) for u, w in zip(a.m + a.v, b.m + b.v))
+        assert np.array_equal(got_next, want_next)
+
+    def test_divergence_joins_helper(self, clique_inputs, monkeypatch, forward_threads):
+        g, xf, x, _ = clique_inputs
+        force_helper(monkeypatch, True)
+        cfg = replace(FAST, learning_rate=10.0, weight_decay=10.0,
+                      n_epochs=300, batch_size=10)
+        before = set(threading.enumerate())
+        with np.errstate(all="ignore"):
+            with pytest.raises(DivergenceError):
+                train_rwsl(g, xf, x, 2, cfg)
+        assert set(threading.enumerate()) == before
+        assert any(name.startswith("rwsl-cotrain") for name in forward_threads)
+
+    @pytest.mark.parametrize("case", ["one_cpu", "blas_unset", "blas_two", "small_step"])
+    def test_gate_keeps_inline(self, monkeypatch, forward_threads, case):
+        g, x = self.inputs()
+        cfg = self.CFG
+        monkeypatch.setattr(training, "_usable_cpus", lambda: 1 if case == "one_cpu" else 2)
+        for var in BLAS_VARS:
+            if case == "blas_unset":
+                monkeypatch.delenv(var, raising=False)
+            else:
+                monkeypatch.setenv(var, "2" if case == "blas_two" else "1")
+        if case in ("one_cpu", "small_step"):
+            monkeypatch.setattr(training, "_blas_threads", lambda: 1)
+        if case == "small_step":
+            # the 64-16 networks of the R-MAT benchmark workloads; 2M
+            # multiply-adds per step here, 5M there
+            x = np.random.default_rng(0).standard_normal((self.N, 64))
+            cfg = replace(cfg, architecture=(64, 16), batch_size=256)
+        monkeypatch.setattr(training, "ThreadPoolExecutor", no_executor)
+        train_rwsl(g, x, None, self.K, cfg)
+        assert set(forward_threads) == {threading.current_thread().name}
+
+    @pytest.mark.skipif("openblas" not in BLAS_NAME.lower(), reason="numpy without OpenBLAS")
+    @pytest.mark.parametrize("env,want", [
+        ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, 1),
+        ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 1),
+        ({"OMP_NUM_THREADS": "2"}, 2),
+        ({"GOTO_NUM_THREADS": " 1", "OMP_NUM_THREADS": "2"}, 1),
+        ({"MKL_NUM_THREADS": "1"}, 0),
+        ({"OPENBLAS_NUM_THREADS": "x"}, 0),
+        ({}, 0),
+    ])
+    def test_blas_threads_read_like_openblas(self, monkeypatch, env, want):
+        for var in BLAS_VARS:
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        assert training._blas_threads() == want
+
+
 def parameter_bytes(*models):
     return sum(p.nbytes for m in models for p in m.parameters())
 
 
 class TestMemory:
     """A step holds the parameters, the frozen snapshot, the AdamW moments,
-    one model's gradients and one batch's activations. On a
-    parameter-dominated shape, holding every model's gradients at once, or
-    the previous step's next to the current one, shows as a higher peak."""
+    at most two models' gradients (one per thread when the helper runs the
+    DNN's update) and one batch's activations. On a parameter-dominated
+    shape, holding every model's gradients at once, or the previous step's
+    next to the current one, shows as a higher peak."""
 
     ARCH = (256, 1024, 8)
     N, D, K = 64, 16, 4
@@ -260,7 +466,15 @@ class TestMemory:
         x = np.random.default_rng(0).standard_normal((self.N, self.D))
         return rmat_generate(self.N, 4, seed=1), x
 
-    def test_cotrain_peak(self, traced_peak):
+    def test_cotrain_peak(self, traced_peak, monkeypatch):
+        force_helper(monkeypatch, False)
+        self.check_cotrain_peak(traced_peak)
+
+    def test_cotrain_peak_with_helper(self, traced_peak, monkeypatch):
+        force_helper(monkeypatch, True)
+        self.check_cotrain_peak(traced_peak)
+
+    def check_cotrain_peak(self, traced_peak):
         g, x = self.inputs()
         cfg = TrainConfig(architecture=self.ARCH, batch_size=32, n_epochs=2,
                           pretrain_n_epochs=0)
@@ -268,7 +482,8 @@ class TestMemory:
         dnn = init_mlp((self.D, *self.ARCH[:-1], self.K), np.random.default_rng(0))
         peak = traced_peak(train_rwsl, g, x, None, self.K, cfg, encoder=enc, decoder=dec)
         # parameters 1 + snapshot 0.33 + moments 2 + one model's gradients
-        # reads 3.4x; all three models' gradients plus the last step's, 5.1x
+        # reads 3.4x inline, 3.7x with the DNN's update on the helper; all
+        # three models' gradients plus the last step's, 5.1x
         assert peak < 4.0 * parameter_bytes(enc, dec, dnn)
 
     def test_pretrain_peak(self, traced_peak):
