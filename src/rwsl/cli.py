@@ -34,6 +34,9 @@ _FLAG_TYPES = {"int": int, "float": float, "Optional[int]": int}
 # edges per node of the R-MAT graph `rwsl spectral` reports on without --edges
 _SPECTRAL_EDGE_FACTOR = 4.0
 
+# hops of the truncated filter `rwsl spectral` checks without --hops
+_SPECTRAL_HOPS = 100
+
 
 def _collect_config(args: argparse.Namespace) -> dict:
     """Layer config sources: file values first, explicit flags on top."""
@@ -187,7 +190,7 @@ def _cmd_spectral(args) -> int:
     else:
         g_plain = run_stage("load", rmat_generate, values["n_nodes"], _SPECTRAL_EDGE_FACTOR,
                             values.get("seed", 0))
-    hops = values.get("hops", 100)
+    hops = values.get("hops", _SPECTRAL_HOPS)
     summary = run_stage("spectral", spectral_run, g_plain, alphas, hops, values["out"],
                         dense_limit=args.dense_limit)
     print((Path(values["out"]) / "claims.txt").read_text().strip())
@@ -202,12 +205,15 @@ def build_parser() -> argparse.ArgumentParser:
                     "and a self-supervised co-trained autoencoder.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, **defaults):
+        """The --config flag and one flag per config field; ``defaults``
+        names the defaults a subcommand uses in place of the field's own."""
         p.add_argument("--config", type=str, default=None,
                        help="config file: 'key = value' lines, JSON, or a manifest.json")
         for _section, f in config_fields():
+            default = defaults.get(f.name, f.default)
             p.add_argument("--" + f.name.replace("_", "-"), type=_FLAG_TYPES.get(f.type, str),
-                           help=None if f.default is MISSING else f"default: {f.default}")
+                           help=None if default is MISSING else f"default: {default}")
 
     p = sub.add_parser("filter", help="compute and cache filtered features")
     common(p)
@@ -254,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectral", help="eigenvalue report and claim checks; "
                        "without --edges, on an R-MAT graph of --n-nodes nodes")
-    common(p)
+    common(p, hops=_SPECTRAL_HOPS)
     p.add_argument("--alphas", type=str, default=None, help="comma-separated alphas")
     p.add_argument("--dense-limit", type=int, default=DENSE_EIGEN_LIMIT)
 

@@ -2,22 +2,24 @@
 
 The filtered attribute matrix is P = sum_{l=0..L} w_l * T^l * X with
 teleport weights w_l = alpha * (1 - alpha)^l and one-hop propagation
-T = D^(rrz-1) * A * D^(-rrz) on the self-loop-augmented graph. Two routes are
-provided: an exact sparse iteration (``filter_exact``, O(L*E*F), never
-materializes a dense operator; it propagates ``FILTER_BLOCK`` feature columns
-at a time into one preallocated output, so beyond X and P its working set
-is O(n * FILTER_BLOCK) plus the operator) and an unbiased estimator of the
-untruncated (L -> infinity) filter (``filter_randomwalk``) for any rrz in
-[0, 1]. The estimator is bidirectional, as in GBP and FORA, walks first:
-each node draws ceil(n_walks * r) whole walks, r = (1 - alpha)^(L + 1)
-being the mass past hop L, and L + 1 exact hops add the first L terms and
-smooth the walks' tail, so the error is at most O(sqrt(r / n_walks)). The
-walks run for all nodes at once in chunks of at most ``WALK_CHUNK`` walks,
-each with its own RNG stream seeded by (seed, chunk index), so memory stays
-O(WALK_CHUNK + n * F) and the output is bit-identical across runs for a
-given seed. Each step gathers in place into the walk positions, and each
-chunk's endpoints are counted by one sort of int64 (walk source, endpoint)
-keys, which stay below 2^46 (2^15 rows times n < 2^31 columns).
+T = D^(rrz-1) * A * D^(-rrz) on the self-loop-augmented graph. Every such
+polynomial goes through one Horner pass, ``_horner``: acc = T * acc + w_l * X
+for l = L .. 0, ``FILTER_BLOCK`` feature columns at a time, so beyond X and
+the output its working set is O(n * FILTER_BLOCK) plus the sparse operator.
+Two routes use it: the exact truncated filter (``filter_exact``, L sparse
+products from acc = w_L * X, O(L*E*F), deterministic) and an unbiased
+estimator of the untruncated (L -> infinity) filter (``filter_randomwalk``)
+for any rrz in [0, 1]. The estimator is bidirectional, as in GBP and FORA,
+walks first: each node draws ceil(n_walks * r) whole walks, r = (1 -
+alpha)^(L + 1) being the mass past hop L, and the Horner pass over L + 1
+hops adds the first L terms and smooths the walks' tail, so the error is at
+most O(sqrt(r / n_walks)). The walks run for all nodes at once in chunks of
+at most ``WALK_CHUNK`` walks, each with its own RNG stream seeded by (seed,
+chunk index), so memory stays O(WALK_CHUNK + n * F) and the output is
+bit-identical across runs for a given seed. Each step gathers in place into
+the walk positions, and each chunk's endpoints are counted by one sort of
+int64 (walk source, endpoint) keys, which stay below 2^46 (2^15 rows times
+n < 2^31 columns).
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -37,7 +39,7 @@ from .graph import CsrGraph, as_features, graph_hash
 # Walks advanced together by ``filter_randomwalk``; bounds its temporaries.
 WALK_CHUNK = 2 ** 15
 
-# Feature columns propagated together by both filters; bounds their temporaries.
+# Feature columns propagated together by ``_horner``; bounds its temporaries.
 FILTER_BLOCK = 16
 
 
@@ -117,30 +119,36 @@ def _propagation_matrix(g: CsrGraph, rrz: float) -> sp.csr_matrix:
                          shape=(g.n_nodes, g.n_nodes))
 
 
+def _horner(op: sp.csr_matrix, x: np.ndarray, w: np.ndarray, acc: np.ndarray) -> np.ndarray:
+    """Set acc <- T^len(w) * acc + sum_l w_l * T^l * x in place and return it.
+
+    Horner's rule, acc = T * acc + w_l * x for l = len(w) - 1 .. 0, over
+    ``FILTER_BLOCK`` columns at a time, each in contiguous buffers: the
+    sparse product sums each column on its own in the same order, so the
+    bits do not depend on the block width.
+    """
+    for lo in range(0, x.shape[1], FILTER_BLOCK):
+        block = np.ascontiguousarray(x[:, lo:lo + FILTER_BLOCK])
+        part = np.ascontiguousarray(acc[:, lo:lo + FILTER_BLOCK])
+        scaled = np.empty_like(block)
+        for wl in w[::-1]:
+            part = op @ part
+            part += np.multiply(wl, block, out=scaled)
+        acc[:, lo:lo + FILTER_BLOCK] = part
+    return acc
+
+
 def filter_exact(g: CsrGraph, x: np.ndarray, cfg: FilterConfig) -> np.ndarray:
     """Truncated propagation sum: P = sum_{l=0..hops} w_l * T^l * x.
 
-    Iterates the sparse one-hop operator and accumulates weighted terms;
-    cost O(hops * E * F), deterministic. Runs over blocks of ``FILTER_BLOCK``
-    columns, accumulating each block in a contiguous buffer: the sparse
-    product sums each column on its own in the same order, so the result is
-    bit-identical to propagating all columns at once.
+    One Horner pass from acc = w_hops * x: ``hops`` sparse products, cost
+    O(hops * E * F), deterministic.
     """
     x = as_features(x)
     if x.shape[0] != g.n_nodes:
         raise ValueError(f"feature rows {x.shape[0]} != n_nodes {g.n_nodes}")
     w = ppr_weights(cfg.alpha, cfg.hops)
-    op = _propagation_matrix(g, cfg.rrz)
-    out = np.empty_like(x)
-    for lo in range(0, x.shape[1], FILTER_BLOCK):
-        cur = np.ascontiguousarray(x[:, lo:lo + FILTER_BLOCK])
-        acc = w[0] * cur
-        scaled = np.empty_like(cur)
-        for l in range(1, cfg.hops + 1):
-            cur = op @ cur
-            acc += np.multiply(w[l], cur, out=scaled)
-        out[:, lo:lo + FILTER_BLOCK] = acc
-    return out
+    return _horner(_propagation_matrix(g, cfg.rrz), x, w[:-1], w[-1] * x)
 
 
 def filter_randomwalk(g: CsrGraph, x: np.ndarray, cfg: FilterConfig,
@@ -152,28 +160,16 @@ def filter_randomwalk(g: CsrGraph, x: np.ndarray, cfg: FilterConfig,
     With L = ``cfg.hops`` and r = (1 - alpha)^(L + 1), F(x) is the head
     sum_{l<=L} w_l T^l x plus the tail r * T^(L+1) * F(x). ``_walk_filter``
     estimates F(x) without bias as y from max(1, ceil(effective_n_walks * r))
-    walks per node, as FORA sizes its walks, and one Horner pass adds head
-    and tail: acc = r * y, then acc = T * acc + w_l * x for l = L .. 0, which
-    averages each node's walk noise over its neighborhood. The pass runs on
-    ``FILTER_BLOCK`` columns at a time, so its temporaries stay
-    O(n * FILTER_BLOCK) and the bits do not depend on the block width.
+    walks per node, as FORA sizes its walks, and one Horner pass from
+    acc = r * y adds head and tail, which averages each node's walk noise
+    over its neighborhood.
     """
     x = as_features(x)
     residual = (1.0 - cfg.alpha) ** (cfg.hops + 1)
     n_walks = max(1, math.ceil(cfg.effective_n_walks * residual))
     out = _walk_filter(g, x, replace(cfg, n_walks=n_walks), seed)
     out *= residual
-    w = ppr_weights(cfg.alpha, cfg.hops)
-    op = _propagation_matrix(g, cfg.rrz)
-    for lo in range(0, x.shape[1], FILTER_BLOCK):
-        block = np.ascontiguousarray(x[:, lo:lo + FILTER_BLOCK])
-        acc = np.ascontiguousarray(out[:, lo:lo + FILTER_BLOCK])
-        scaled = np.empty_like(block)
-        for l in range(cfg.hops, -1, -1):
-            acc = op @ acc
-            acc += np.multiply(w[l], block, out=scaled)
-        out[:, lo:lo + FILTER_BLOCK] = acc
-    return out
+    return _horner(_propagation_matrix(g, cfg.rrz), x, ppr_weights(cfg.alpha, cfg.hops), out)
 
 
 def _walk_filter(g: CsrGraph, x: np.ndarray, cfg: FilterConfig, seed: int) -> np.ndarray:
@@ -271,8 +267,8 @@ def _endpoint_mix(src: np.ndarray, pos: np.ndarray, n_rows: int, n: int,
 # ---------------------------------------------------------------------------
 # filtered-feature cache
 
-# per method, raised when its values change under an unchanged header
-_CACHE_VERSION = {"exact": 3, "randomwalk": 4}
+# raised when the values of either method change under an unchanged header
+_CACHE_VERSION = 5
 
 
 def _features_sha256(x: np.ndarray) -> str:
@@ -285,24 +281,15 @@ def _features_sha256(x: np.ndarray) -> str:
 
 def filtered_cache_header(g: CsrGraph, cfg: FilterConfig, features: np.ndarray, *,
                           seed: Optional[int] = None) -> dict:
-    """The header that pins a filtered-feature cache to its inputs: the
-    filter options, the graph and the unfiltered ``features``, which it
-    hashes, so a caller that both loads and saves a cache builds it once.
+    """The header that pins a filtered-feature cache to its inputs: every
+    ``FilterConfig`` field, the graph and the unfiltered ``features``, which
+    it hashes, so a caller that both loads and saves a cache builds it once.
 
     A random-walk estimate also depends on its ``seed``, which only that
     method's header records (and requires); an exact header has no seed.
     """
-    header = {
-        "version": _CACHE_VERSION[cfg.filter_method],
-        "alpha": cfg.alpha,
-        "hops": cfg.hops,
-        "rrz": cfg.rrz,
-        "r_max": cfg.r_max,
-        "n_walks": cfg.n_walks,
-        "method": cfg.filter_method,
-        "graph_hash": graph_hash(g),
-        "features_sha256": _features_sha256(features),
-    }
+    header = {"version": _CACHE_VERSION, **asdict(cfg), "graph_hash": graph_hash(g),
+              "features_sha256": _features_sha256(features)}
     if cfg.filter_method == "randomwalk":
         if seed is None:
             raise ValueError("a random-walk cache header needs the walk seed")

@@ -54,6 +54,10 @@ class RunConfig:
     def __post_init__(self):
         if self.repeat < 1:
             raise ValueError("repeat must be >= 1")
+        if not 2 <= self.k <= self.n_nodes:
+            raise ValueError(f"k must be in [2, n_nodes={self.n_nodes}], got {self.k}")
+        if 0 < self.train.kmeans_sample_cap < self.k:
+            raise ValueError(f"kmeans_sample_cap must be 0 or >= k={self.k}")
 
 
 # ---------------------------------------------------------------------------
@@ -272,8 +276,9 @@ def run_pipeline(cfg: RunConfig, *, filtered=None, ae_checkpoint=None,
 
     The run drops its reference to the raw features once nothing after the
     filter stage reads them (``ae_input = "filtered"``, and a filter that is
-    not redrawn per seed), so they are not held through training and
-    evaluation; a sweep keeps the raw matrix its sub-runs share.
+    not redrawn per seed), and to the self-loop-augmented graph once nothing
+    refilters, so they are not held through training and evaluation; a
+    sweep keeps the raw matrix its sub-runs share.
     """
     out_dir = Path(cfg.out)
     run_stage("write", out_dir.mkdir, parents=True, exist_ok=True)
@@ -305,8 +310,9 @@ def run_pipeline(cfg: RunConfig, *, filtered=None, ae_checkpoint=None,
     # in write order; the first filter call writes filtered.npz or checks it
     written = ["filtered.npz"] if filtered is None and exact else []
     seeds = [cfg.train.seed + i for i in range(cfg.repeat)]
-    # the random-walk estimate is redrawn per seed; otherwise, unless the
-    # autoencoder reads them, the raw features are not read after filtering
+    # the random-walk estimate is redrawn per seed; otherwise the augmented
+    # graph, and unless the autoencoder reads them the raw features, are not
+    # read after filtering
     refilter = filtered is None and not exact
     keep_raw = refilter or cfg.train.ae_input == "raw"
 
@@ -318,6 +324,8 @@ def run_pipeline(cfg: RunConfig, *, filtered=None, ae_checkpoint=None,
                                    seed=seed, cache_path=cache_path, share=share)
         if not keep_raw:
             x_raw = None
+        if not refilter:
+            g_aug = None
         train_cfg = replace(cfg.train, seed=seed)
         if autoencoder is None:
             ae_x = x_filtered if train_cfg.ae_input == "filtered" else x_raw
@@ -326,7 +334,7 @@ def run_pipeline(cfg: RunConfig, *, filtered=None, ae_checkpoint=None,
                                          train_cfg)
         else:
             encoder, decoder = (model.copy() for model in autoencoder)
-        result = run_stage("train", train_rwsl, g_plain, x_filtered, x_raw, cfg.k,
+        result = run_stage("train", train_rwsl, x_filtered, x_raw, cfg.k,
                            train_cfg, encoder=encoder, decoder=decoder)
         if labels is not None:
             reports.append(run_stage("eval", evaluate_all, g_plain, result.assignments,
@@ -485,7 +493,7 @@ def bench_scalability(sizes, edge_factor: float, feat_dim: int, epochs: int,
                     tracemalloc.start()
                 tracemalloc.reset_peak()
                 t0 = time.perf_counter()
-                train_rwsl(g, xf, None, k, train_cfg)
+                train_rwsl(xf, None, k, train_cfg)
                 train_s = time.perf_counter() - t0
                 _, peak = tracemalloc.get_traced_memory()
                 if started_here:

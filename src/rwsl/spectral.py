@@ -4,7 +4,8 @@ The symmetric operator T = D^(-1/2) A D^(-1/2) on a self-loop-augmented
 graph has eigenvalues in (-1, 1]. The infinite-hop teleport filter maps a
 T-eigenvalue t to alpha / (1 - (1 - alpha) * t), and the corresponding
 Laplacian eigenvalue is one minus that. ``spectral_report`` cross-checks
-this closed form against an explicitly accumulated truncated filter; the
+this closed form, on the spectrum of a dense T built here, against the
+production truncated filter ``filter_exact`` applied to the identity; the
 truncation tail is exactly (1 - alpha)^(hops + 1), which bounds the gap.
 """
 
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ClaimCheckError, DenseEigenLimitError
-from .filters import ppr_weights
+from .filters import FilterConfig, filter_exact
 from .graph import CsrGraph
 
 # node count above which the dense eigensolver path refuses a graph
@@ -24,12 +25,12 @@ DENSE_EIGEN_LIMIT = 3000
 
 @dataclass(frozen=True)
 class SpectralReport:
-    """Sorted spectra of the one-hop and accumulated filters plus the
+    """Sorted spectra of the one-hop and truncated filters plus the
     closed-form/direct discrepancy."""
 
     eigenvalues_gcn: np.ndarray          # spectrum of T, ascending
     eigenvalues_ppr_closed: np.ndarray   # closed-form infinite-hop filter
-    eigenvalues_ppr_direct: np.ndarray   # eigendecomposition of accumulated S
+    eigenvalues_ppr_direct: np.ndarray   # eigendecomposition of truncated S
     max_abs_gap: float
 
 
@@ -106,23 +107,18 @@ def dense_propagation_matrix(g: CsrGraph) -> np.ndarray:
 
 def spectral_report(g: CsrGraph, alpha: float, hops: int,
                     dense_limit: int = DENSE_EIGEN_LIMIT) -> SpectralReport:
-    """Compare the closed-form filter spectrum against an explicit truncation.
+    """Compare the closed-form filter spectrum against the truncated filter.
 
-    Accumulates S = sum_{l<=hops} w_l T^l densely, eigendecomposes both T
-    and S, and reports the max gap between the closed form evaluated on T's
-    spectrum and S's spectrum. Gated by ``dense_limit`` nodes.
+    S = sum_{l<=hops} w_l T^l is ``filter_exact`` (rrz 0.5) of the identity,
+    T's spectrum comes from ``dense_propagation_matrix``, a separate build of
+    the operator; reports the max gap between the closed form evaluated on
+    T's spectrum and S's spectrum. Gated by ``dense_limit`` nodes.
     """
     if g.n_nodes > dense_limit:
         raise DenseEigenLimitError(
             f"graph has {g.n_nodes} nodes, dense eigensolver limit is {dense_limit}")
-    t = dense_propagation_matrix(g)
-    eig_t = np.linalg.eigvalsh(t)
-    w = ppr_weights(alpha, hops)
-    s = w[0] * np.eye(g.n_nodes)
-    power = np.eye(g.n_nodes)
-    for l in range(1, hops + 1):
-        power = power @ t
-        s += w[l] * power
+    eig_t = np.linalg.eigvalsh(dense_propagation_matrix(g))
+    s = filter_exact(g, np.eye(g.n_nodes), FilterConfig(alpha=alpha, hops=hops, rrz=0.5))
     eig_s = np.linalg.eigvalsh(0.5 * (s + s.T))
     # round-off can push eig_t marginally past 1; clamp to the valid domain
     lam_sym = np.clip(1.0 - eig_t, 0.0, np.nextafter(2.0, 0.0))

@@ -50,7 +50,7 @@ import numpy as np
 from .clustering import (dead_cluster_count, hard_assign, kmeans, soft_assign,
                          soft_assign_kl_grad, target_distribution)
 from .errors import DivergenceError
-from .graph import CsrGraph, as_features, as_labels
+from .graph import as_features, as_labels
 from .nn import (AdamWState, MlpModel, adamw_step, init_mlp, kl_divergence,
                  mlp_backward, mlp_forward, mse_loss, row_softmax)
 
@@ -113,6 +113,8 @@ class TrainConfig:
             raise ValueError("ae_input must be 'filtered' or 'raw'")
         if self.kmeans_sample_cap < 0:
             raise ValueError("kmeans_sample_cap must be >= 0")
+        if self.kmeans_max_iters < 1:
+            raise ValueError("kmeans_max_iters must be >= 1")
 
 
 def _batch_slices(n: int, batch_size: int):
@@ -356,7 +358,7 @@ class TrainResult:
     dnn: MlpModel
 
 
-def train_rwsl(g: CsrGraph, x_filtered: np.ndarray, x_raw: Optional[np.ndarray],
+def train_rwsl(x_filtered: np.ndarray, x_raw: Optional[np.ndarray],
                n_clusters: int, cfg: TrainConfig, *,
                encoder: Optional[MlpModel] = None,
                decoder: Optional[MlpModel] = None) -> TrainResult:
@@ -377,8 +379,6 @@ def train_rwsl(g: CsrGraph, x_filtered: np.ndarray, x_raw: Optional[np.ndarray],
     N x embedding matrix.
     """
     x_filtered = as_features(x_filtered)
-    if x_filtered.shape[0] != g.n_nodes:
-        raise ValueError("filtered features row count != n_nodes")
     if n_clusters < 2:
         raise ValueError("n_clusters must be >= 2")
     if cfg.ae_input == "raw":

@@ -273,7 +273,7 @@ def test_criterion_09_cora_reproduction_band():
                               batch_size=256, beta=0.01, gamma=0.1, v=1.0,
                               update_p=1, dropout_rate=0.01, weight_decay=0.01,
                               seed=seed)
-            result = train_rwsl(g, x_filtered, x_raw, 7, cfg)
+            result = train_rwsl(x_filtered, x_raw, 7, cfg)
             report = evaluate_all(g, result.assignments, labels)
             accs.append(report.accuracy)
             nmis.append(report.nmi)

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -36,15 +36,14 @@ def dense_filter_oracle(g_aug, x, alpha, hops):
 
 
 def unblocked_filter_exact(g_aug, x, cfg):
-    """The all-columns-at-once propagation loop, kept as the blocked
+    """The all-columns-at-once Horner recurrence, kept as the blocked
     ``filter_exact``'s bit-exact oracle."""
     w = ppr_weights(cfg.alpha, cfg.hops)
     op = _propagation_matrix(g_aug, cfg.rrz)
-    acc = w[0] * x
-    cur = x
-    for l in range(1, cfg.hops + 1):
-        cur = op @ cur
-        acc += w[l] * cur
+    acc = w[-1] * x
+    for l in range(cfg.hops - 1, -1, -1):
+        acc = op @ acc
+        acc += w[l] * x
     return acc
 
 
@@ -439,23 +438,39 @@ class TestCache:
         with pytest.raises(ValueError, match="seed"):
             filtered_cache_header(g, cfg, x)
 
-    def test_previous_version_randomwalk_rejected(self, tmp_path):
-        # a version-3 random-walk cache holds the forced-move estimate; the
-        # exact filter's values did not change, so its caches keep version 3
-        g, x, cfg = path3(), np.eye(3), FilterConfig(n_walks=50, filter_method="randomwalk")
+    @pytest.mark.parametrize("cfg", [FilterConfig(),
+                                     FilterConfig(n_walks=50, filter_method="randomwalk")],
+                             ids=["exact", "randomwalk"])
+    def test_previous_version_rejected(self, tmp_path, cfg):
+        # version-4 exact caches hold forward-sum bits and name the method
+        # "method"; version-4 random-walk caches carry that older key too
+        g, x = path3(), np.eye(3)
         header = filtered_cache_header(g, cfg, x, seed=0)
-        assert header["version"] == 4
-        assert filtered_cache_header(g, FilterConfig(), x)["version"] == 3
-        save_filtered_cache(tmp_path / "c.npz", np.ones((3, 2)), {**header, "version": 3})
+        assert header["version"] == 5
+        save_filtered_cache(tmp_path / "c.npz", np.ones((3, 2)), {**header, "version": 4})
         with pytest.raises(CacheMismatchError, match="version"):
             load_filtered_cache(tmp_path / "c.npz", header)
 
     def test_exact_header_has_no_seed(self):
         g, x = path3(), np.eye(3)
         header = filtered_cache_header(g, FilterConfig(), x)
-        assert list(header) == ["version", "alpha", "hops", "rrz", "r_max", "n_walks",
-                                "method", "graph_hash", "features_sha256"]
+        assert list(header) == ["version", *(f.name for f in fields(FilterConfig)),
+                                "graph_hash", "features_sha256"]
         assert filtered_cache_header(g, FilterConfig(), x, seed=3) == header
+
+    # a value other than the default for every FilterConfig field
+    OTHER_VALUES = {"alpha": 0.2, "hops": 3, "rrz": 0.5, "r_max": 1e-3, "n_walks": 5,
+                    "filter_method": "randomwalk"}
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(FilterConfig)])
+    def test_every_field_pinned(self, tmp_path, name):
+        g, x = path3(), np.eye(3)
+        cfg = FilterConfig()
+        save_filtered_cache(tmp_path / "c.npz", np.ones((3, 2)),
+                            filtered_cache_header(g, cfg, x, seed=0))
+        stale = replace(cfg, **{name: self.OTHER_VALUES[name]})
+        with pytest.raises(CacheMismatchError, match=name):
+            load_filtered_cache(tmp_path / "c.npz", filtered_cache_header(g, stale, x, seed=0))
 
     def test_round_trip(self, tmp_path):
         g = path3()

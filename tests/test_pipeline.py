@@ -376,9 +376,9 @@ class TestSweeps:
         import rwsl.pipeline as pl
         writeable = []
 
-        def training(g, x_filtered, *args, **kwargs):
+        def training(x_filtered, *args, **kwargs):
             writeable.append(x_filtered.flags.writeable)
-            return train_rwsl(g, x_filtered, *args, **kwargs)
+            return train_rwsl(x_filtered, *args, **kwargs)
 
         monkeypatch.setattr(pl, "train_rwsl", training)
         cfg = resolve_run_config({**fixture_run_values, "n_epochs": 40,
@@ -630,10 +630,17 @@ class TestCli:
         extra = ["--pred", fixture_run_values["labels"]] if command == "eval" else []
         assert cli_main([command, *_flags(values), *extra]) == 3
 
+    # the fixture has 10 nodes and k 2; the k and k-means values used to
+    # fail only after filtering and pretraining, in stage train
     @pytest.mark.parametrize("command, extra", [
         ("filter", ["--filter-method", "bogus"]),
         ("sweep-epsilon", ["--values", "0.5,0.5"]),
-    ], ids=["unknown-filter-method", "repeated-sweep-value"])
+        ("pipeline", ["--k", "1"]),
+        ("pipeline", ["--k", "11"]),
+        ("pipeline", ["--kmeans-max-iters", "0"]),
+        ("pipeline", ["--kmeans-sample-cap", "1"]),
+    ], ids=["unknown-filter-method", "repeated-sweep-value", "k-below-2", "k-above-n-nodes",
+            "no-kmeans-iterations", "kmeans-sample-below-k"])
     def test_bad_option_values_exit_config(self, command, extra, fixture_run_values, capsys):
         assert cli_main([command, *_flags(fixture_run_values), *extra]) == 2
         assert "stage 'config' failed" in capsys.readouterr().err
@@ -661,6 +668,11 @@ class TestCli:
         # the same rule holds for a path that does not exist: nothing is read
         values["features"] = str(tmp_path / "missing.npz")
         assert cli_main(["pretrain", *_flags(values)]) == 2
+
+    def test_spectral_help_names_its_hops_default(self, capsys):
+        with pytest.raises(SystemExit):
+            cli_main(["spectral", "--help"])
+        assert " ".join(capsys.readouterr().out.split()).count("--hops HOPS default: 100 ") == 1
 
     def test_spectral_without_edges_uses_rmat(self, tmp_path, capsys):
         out = tmp_path / "spec"

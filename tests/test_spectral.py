@@ -8,6 +8,8 @@ from rwsl.graph import augment_self_loops, from_edge_array, rmat_generate
 from rwsl.spectral import (dense_propagation_matrix, ppr_eigen_response,
                            spectral_report, verify_claim1, verify_claim2)
 
+from test_filters import dense_filter_oracle
+
 
 class TestEigenResponse:
     def test_constant_eigenvector_preserved(self):
@@ -103,6 +105,17 @@ class TestSpectralReport:
         alpha, hops = 0.1, 100
         rep = spectral_report(g, alpha, hops)
         assert rep.max_abs_gap <= (1 - alpha) ** (hops + 1) + 1e-8
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_direct_matches_dense_power_loop(self, seed):
+        # S from the production filter against S from dense matrix powers
+        n = (40, 120, 250)[seed]
+        g = augment_self_loops(rmat_generate(n, 4, seed=seed))
+        alpha, hops = (0.1, 0.3, 0.05)[seed], (100, 30, 60)[seed]
+        s = dense_filter_oracle(g, np.eye(n), alpha, hops)
+        want = np.linalg.eigvalsh(0.5 * (s + s.T))
+        got = spectral_report(g, alpha, hops).eigenvalues_ppr_direct
+        assert np.abs(got - want).max() < 1e-12
 
     def test_spectrum_range(self):
         for seed in range(3):

@@ -14,7 +14,7 @@ import pytest
 from rwsl.clustering import soft_assign, soft_assign_kl_grad
 from rwsl.errors import DivergenceError
 from rwsl.filters import FilterConfig, filter_exact
-from rwsl.graph import augment_self_loops, rmat_generate
+from rwsl.graph import augment_self_loops
 from rwsl import training
 from rwsl.nn import (AdamWState, init_mlp, kl_divergence, mlp_forward, mse_loss,
                      row_softmax)
@@ -29,9 +29,8 @@ FAST = TrainConfig(architecture=(16, 4), learning_rate=1e-2, pretrain_lr=1e-2,
 
 @pytest.fixture
 def clique_inputs(two_cliques):
-    g, x, labels = two_cliques
-    xf = filter_exact(augment_self_loops(g), x, FilterConfig())
-    return g, xf, x, labels
+    g, x, _ = two_cliques
+    return filter_exact(augment_self_loops(g), x, FilterConfig()), x
 
 
 def reconstruction_loss(encoder, decoder, x):
@@ -96,80 +95,80 @@ class TestPretrain:
 
 class TestTrainRwsl:
     def test_loss_composition(self, clique_inputs):
-        g, xf, x, _ = clique_inputs
+        xf, x = clique_inputs
         cfg = replace(FAST, beta=0.37, gamma=0.91, batch_size=10)
-        res = train_rwsl(g, xf, x, 2, cfg)
+        res = train_rwsl(xf, x, 2, cfg)
         h = res.loss_history
         recomposed = h[:, 1] + 0.37 * h[:, 2] + 0.91 * h[:, 3]
         assert np.max(np.abs(recomposed - h[:, 4])) < 1e-12
 
     def test_deterministic_history(self, clique_inputs):
-        g, xf, x, _ = clique_inputs
-        r1 = train_rwsl(g, xf, x, 2, FAST)
-        r2 = train_rwsl(g, xf, x, 2, FAST)
+        xf, x = clique_inputs
+        r1 = train_rwsl(xf, x, 2, FAST)
+        r2 = train_rwsl(xf, x, 2, FAST)
         assert np.array_equal(r1.loss_history, r2.loss_history)
         assert np.array_equal(r1.assignments, r2.assignments)
 
     def test_distributions_are_row_stochastic(self, clique_inputs):
-        g, xf, x, _ = clique_inputs
-        res = train_rwsl(g, xf, x, 2, FAST)
+        xf, x = clique_inputs
+        res = train_rwsl(xf, x, 2, FAST)
         for mat in (res.p_h, res.p_z):
             assert np.allclose(mat.sum(axis=1), 1.0, atol=1e-9)
         assert np.array_equal(res.assignments, np.argmax(res.p_h, axis=1))
 
     @pytest.mark.parametrize("eps", [0.0, 1.0])
     def test_blend_boundaries_complete(self, clique_inputs, eps):
-        g, xf, x, _ = clique_inputs
-        res = train_rwsl(g, xf, x, 2, replace(FAST, epsilon=eps))
+        xf, x = clique_inputs
+        res = train_rwsl(xf, x, 2, replace(FAST, epsilon=eps))
         assert np.allclose(res.p_h.sum(axis=1), 1.0, atol=1e-9)
         assert np.isfinite(res.loss_history).all()
 
     def test_raw_input_variant_differs(self, clique_inputs):
-        g, xf, x, _ = clique_inputs
-        res_f = train_rwsl(g, xf, x, 2, FAST)
-        res_r = train_rwsl(g, xf, x, 2, replace(FAST, ae_input="raw"))
+        xf, x = clique_inputs
+        res_f = train_rwsl(xf, x, 2, FAST)
+        res_r = train_rwsl(xf, x, 2, replace(FAST, ae_input="raw"))
         assert not np.array_equal(res_f.loss_history, res_r.loss_history)
 
     def test_raw_input_requires_raw(self, clique_inputs):
-        g, xf, _, _ = clique_inputs
+        xf, _ = clique_inputs
         with pytest.raises(ValueError):
-            train_rwsl(g, xf, None, 2, replace(FAST, ae_input="raw"))
+            train_rwsl(xf, None, 2, replace(FAST, ae_input="raw"))
 
     def test_update_period_cadence(self, clique_inputs):
-        g, xf, x, _ = clique_inputs
-        res = train_rwsl(g, xf, x, 2, replace(FAST, update_p=7))
+        xf, x = clique_inputs
+        res = train_rwsl(xf, x, 2, replace(FAST, update_p=7))
         assert np.isfinite(res.loss_history).all()
 
     def test_kmeans_sample_cap(self, clique_inputs):
-        g, xf, x, _ = clique_inputs
-        res = train_rwsl(g, xf, x, 2, replace(FAST, kmeans_sample_cap=6))
+        xf, x = clique_inputs
+        res = train_rwsl(xf, x, 2, replace(FAST, kmeans_sample_cap=6))
         assert np.allclose(res.p_h.sum(axis=1), 1.0, atol=1e-9)
 
     def test_k_validation(self, clique_inputs):
-        g, xf, x, _ = clique_inputs
+        xf, x = clique_inputs
         with pytest.raises(ValueError):
-            train_rwsl(g, xf, x, 1, FAST)
+            train_rwsl(xf, x, 1, FAST)
 
     def test_cotrain_divergence_raises(self, clique_inputs):
-        g, xf, x, _ = clique_inputs
+        xf, x = clique_inputs
         cfg = replace(FAST, learning_rate=10.0, weight_decay=10.0,
                       n_epochs=300, batch_size=10)
         with np.errstate(all="ignore"):
             with pytest.raises(DivergenceError):
-                train_rwsl(g, xf, x, 2, cfg)
+                train_rwsl(xf, x, 2, cfg)
 
     def test_pretrained_injection_matches_internal(self, clique_inputs):
-        g, xf, x, _ = clique_inputs
+        xf, x = clique_inputs
         enc, dec = pretrain_autoencoder(xf, (xf.shape[1], *FAST.architecture), FAST)
-        res_inj = train_rwsl(g, xf, x, 2, FAST, encoder=enc, decoder=dec)
-        res_int = train_rwsl(g, xf, x, 2, FAST)
+        res_inj = train_rwsl(xf, x, 2, FAST, encoder=enc, decoder=dec)
+        res_int = train_rwsl(xf, x, 2, FAST)
         assert np.array_equal(res_inj.loss_history, res_int.loss_history)
 
 
 class TestCheckpoint:
     def test_round_trip(self, clique_inputs, tmp_path):
-        g, xf, x, _ = clique_inputs
-        res = train_rwsl(g, xf, x, 2, FAST)
+        xf, x = clique_inputs
+        res = train_rwsl(xf, x, 2, FAST)
         save_checkpoint(tmp_path / "ck.npz",
                         {"encoder": res.encoder, "decoder": res.decoder, "dnn": res.dnn},
                         {"k": 2}, {"centroids": res.centroids})
@@ -221,7 +220,7 @@ class TestPassCount:
     @pytest.mark.parametrize("cap", [0, 7])
     @pytest.mark.parametrize("n_epochs,update_p", [(0, 1), (1, 1), (3, 1), (5, 2)])
     def test_forward_calls(self, clique_inputs, monkeypatch, cap, n_epochs, update_p):
-        g, xf, x, _ = clique_inputs
+        xf, x = clique_inputs
         cfg = replace(FAST, n_epochs=n_epochs, update_p=update_p, batch_size=4,
                       kmeans_sample_cap=cap, pretrain_n_epochs=0)
         enc, dec = pretrain_autoencoder(xf, (xf.shape[1], *cfg.architecture), cfg)
@@ -233,9 +232,9 @@ class TestPassCount:
             return forward(*args, **kwargs)
 
         monkeypatch.setattr(training, "mlp_forward", counting_forward)
-        train_rwsl(g, xf, x, 2, cfg, encoder=enc, decoder=dec)
+        train_rwsl(xf, x, 2, cfg, encoder=enc, decoder=dec)
 
-        n = g.n_nodes
+        n = len(xf)
         batches = -(-n // cfg.batch_size)
         subsampled = 0 < cap < n
         init_batches = -(-cap // cfg.batch_size) if subsampled else batches
@@ -311,8 +310,7 @@ class TestHelperThread:
                       pretrain_n_epochs=1, learning_rate=1e-3, pretrain_lr=1e-3)
 
     def inputs(self):
-        x = np.random.default_rng(0).standard_normal((self.N, self.D))
-        return rmat_generate(self.N, 4, seed=1), x
+        return np.random.default_rng(0).standard_normal((self.N, self.D))
 
     def run_recorded(self, monkeypatch, cfg):
         """train_rwsl, plus every AdamW state and RNG it made."""
@@ -327,11 +325,11 @@ class TestHelperThread:
             rngs.append(make_rng(*args, **kwargs))
             return rngs[-1]
 
-        g, x = self.inputs()
+        x = self.inputs()
         with monkeypatch.context() as m:
             m.setattr(training, "AdamWState", SimpleNamespace(for_params=for_params))
             m.setattr(np.random, "default_rng", recording_rng)
-            res = train_rwsl(g, x, None, self.K, cfg)
+            res = train_rwsl(x, None, self.K, cfg)
         return res, states, rngs
 
     @pytest.mark.parametrize("cap", [0, 40])
@@ -398,20 +396,20 @@ class TestHelperThread:
         assert np.array_equal(got_next, want_next)
 
     def test_divergence_joins_helper(self, clique_inputs, monkeypatch, forward_threads):
-        g, xf, x, _ = clique_inputs
+        xf, x = clique_inputs
         force_helper(monkeypatch, True)
         cfg = replace(FAST, learning_rate=10.0, weight_decay=10.0,
                       n_epochs=300, batch_size=10)
         before = set(threading.enumerate())
         with np.errstate(all="ignore"):
             with pytest.raises(DivergenceError):
-                train_rwsl(g, xf, x, 2, cfg)
+                train_rwsl(xf, x, 2, cfg)
         assert set(threading.enumerate()) == before
         assert any(name.startswith("rwsl-cotrain") for name in forward_threads)
 
     @pytest.mark.parametrize("case", ["one_cpu", "blas_unset", "blas_two", "small_step"])
     def test_gate_keeps_inline(self, monkeypatch, forward_threads, case):
-        g, x = self.inputs()
+        x = self.inputs()
         cfg = self.CFG
         monkeypatch.setattr(training, "_usable_cpus", lambda: 1 if case == "one_cpu" else 2)
         for var in BLAS_VARS:
@@ -427,7 +425,7 @@ class TestHelperThread:
             x = np.random.default_rng(0).standard_normal((self.N, 64))
             cfg = replace(cfg, architecture=(64, 16), batch_size=256)
         monkeypatch.setattr(training, "ThreadPoolExecutor", no_executor)
-        train_rwsl(g, x, None, self.K, cfg)
+        train_rwsl(x, None, self.K, cfg)
         assert set(forward_threads) == {threading.current_thread().name}
 
     @pytest.mark.skipif("openblas" not in BLAS_NAME.lower(), reason="numpy without OpenBLAS")
@@ -463,8 +461,7 @@ class TestMemory:
     N, D, K = 64, 16, 4
 
     def inputs(self):
-        x = np.random.default_rng(0).standard_normal((self.N, self.D))
-        return rmat_generate(self.N, 4, seed=1), x
+        return np.random.default_rng(0).standard_normal((self.N, self.D))
 
     def test_cotrain_peak(self, traced_peak, monkeypatch):
         force_helper(monkeypatch, False)
@@ -475,19 +472,19 @@ class TestMemory:
         self.check_cotrain_peak(traced_peak)
 
     def check_cotrain_peak(self, traced_peak):
-        g, x = self.inputs()
+        x = self.inputs()
         cfg = TrainConfig(architecture=self.ARCH, batch_size=32, n_epochs=2,
                           pretrain_n_epochs=0)
         enc, dec = pretrain_autoencoder(x, (self.D, *self.ARCH), cfg)
         dnn = init_mlp((self.D, *self.ARCH[:-1], self.K), np.random.default_rng(0))
-        peak = traced_peak(train_rwsl, g, x, None, self.K, cfg, encoder=enc, decoder=dec)
+        peak = traced_peak(train_rwsl, x, None, self.K, cfg, encoder=enc, decoder=dec)
         # parameters 1 + snapshot 0.33 + moments 2 + one model's gradients
         # reads 3.4x inline, 3.7x with the DNN's update on the helper; all
         # three models' gradients plus the last step's, 5.1x
         assert peak < 4.0 * parameter_bytes(enc, dec, dnn)
 
     def test_pretrain_peak(self, traced_peak):
-        _, x = self.inputs()
+        x = self.inputs()
         dims = (self.D, *self.ARCH)
         cfg = TrainConfig(architecture=self.ARCH, batch_size=32, pretrain_n_epochs=2)
         ae_bytes = parameter_bytes(*pretrain_autoencoder(x, dims, replace(cfg, pretrain_n_epochs=0)))
