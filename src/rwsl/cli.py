@@ -16,7 +16,7 @@ from dataclasses import MISSING
 from pathlib import Path
 
 from .errors import PipelineStageError, run_stage
-from .filters import filtered_cache_header, save_filtered_cache
+from .filters import FilterConfig, filtered_cache_header, save_filtered_cache
 from .graph import (augment_self_loops, load_edge_list, load_features,
                     load_labels, rmat_generate, save_features)
 from .metrics import evaluate_all
@@ -29,7 +29,7 @@ from .spectral import DENSE_EIGEN_LIMIT
 from .training import pretrain_autoencoder, save_checkpoint
 
 # argparse type per config field annotation; other annotations take a string
-_FLAG_TYPES = {"int": int, "float": float, "Optional[int]": int}
+_FLAG_TYPES = {"int": int, "float": float}
 
 # edges per node of the R-MAT graph `rwsl spectral` reports on without --edges
 _SPECTRAL_EDGE_FACTOR = 4.0
@@ -101,8 +101,7 @@ def _cmd_pretrain(args) -> int:
     x = run_stage("load", load_features, values["features"])
     out_dir = Path(values["out"])
     run_stage("write", out_dir.mkdir, parents=True, exist_ok=True)
-    encoder, decoder = run_stage("pretrain", pretrain_autoencoder, x,
-                                 (x.shape[1], *train_cfg.architecture), train_cfg)
+    encoder, decoder = run_stage("pretrain", pretrain_autoencoder, x, train_cfg)
     run_stage("write", save_checkpoint, out_dir / "pretrain.npz",
               {"encoder": encoder, "decoder": decoder},
               {"phase": "pretrain", "seed": train_cfg.seed})
@@ -184,13 +183,17 @@ def _cmd_spectral(args) -> int:
     _require(values, ("n_nodes", "out"))
     alphas = (run_stage("config", _float_list, args.alphas) if args.alphas
               else [values.get("alpha", 0.1)])
+    hops = values.get("hops", _SPECTRAL_HOPS)
+    for alpha in alphas:
+        run_stage("config", FilterConfig, alpha=alpha, hops=hops, rrz=0.5)
+    if len(set(alphas)) != len(alphas):
+        raise PipelineStageError("config", ValueError(f"alpha values repeat: {alphas}"))
     run_stage("write", Path(values["out"]).mkdir, parents=True, exist_ok=True)
     if values.get("edges"):
         g_plain = run_stage("load", load_edge_list, values["edges"], values["n_nodes"])
     else:
         g_plain = run_stage("load", rmat_generate, values["n_nodes"], _SPECTRAL_EDGE_FACTOR,
                             values.get("seed", 0))
-    hops = values.get("hops", _SPECTRAL_HOPS)
     summary = run_stage("spectral", spectral_run, g_plain, alphas, hops, values["out"],
                         dense_limit=args.dense_limit)
     print((Path(values["out"]) / "claims.txt").read_text().strip())

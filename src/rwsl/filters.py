@@ -10,16 +10,16 @@ Two routes use it: the exact truncated filter (``filter_exact``, L sparse
 products from acc = w_L * X, O(L*E*F), deterministic) and an unbiased
 estimator of the untruncated (L -> infinity) filter (``filter_randomwalk``)
 for any rrz in [0, 1]. The estimator is bidirectional, as in GBP and FORA,
-walks first: each node draws ceil(n_walks * r) whole walks, r = (1 -
-alpha)^(L + 1) being the mass past hop L, and the Horner pass over L + 1
-hops adds the first L terms and smooths the walks' tail, so the error is at
-most O(sqrt(r / n_walks)). The walks run for all nodes at once in chunks of
-at most ``WALK_CHUNK`` walks, each with its own RNG stream seeded by (seed,
-chunk index), so memory stays O(WALK_CHUNK + n * F) and the output is
-bit-identical across runs for a given seed. Each step gathers in place into
-the walk positions, and each chunk's endpoints are counted by one sort of
-int64 (walk source, endpoint) keys, which stay below 2^46 (2^15 rows times
-n < 2^31 columns).
+walks first: each node draws ceil(budget * r) whole walks, budget =
+ceil(1 / r_max) and r = (1 - alpha)^(L + 1) being the mass past hop L, and
+the Horner pass over L + 1 hops adds the first L terms and smooths the
+walks' tail, so the error is at most O(sqrt(r / budget)). The walks run for
+all nodes at once in chunks of at most ``WALK_CHUNK`` walks, each with its
+own RNG stream seeded by (seed, chunk index), so memory stays
+O(WALK_CHUNK + n * F) and the output is bit-identical across runs for a
+given seed. Each step gathers in place into the walk positions, and each
+chunk's endpoints are counted by one sort of int64 (walk source, endpoint)
+keys, which stay below 2^46 (2^15 rows times n < 2^31 columns).
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -54,11 +54,10 @@ class FilterConfig:
              random-walk path computes them exactly and smooths the walks'
              tail through them, so a larger L leaves less to the walks.
     rrz      degree-normalization exponent in [0, 1] splitting D^(rrz-1) A D^(-rrz).
-    r_max    estimator accuracy knob; when n_walks is not given the walk
-             budget per node is ceil(1 / r_max).
-    n_walks  explicit walk budget per node (overrides r_max). The random-walk
-             path draws max(1, ceil(budget * r)) whole walks per node, at most
-             about sqrt(r) times the error of the full budget unsmoothed.
+    r_max    estimator accuracy knob: the walk budget per node is
+             ceil(1 / r_max). The random-walk path draws the budget's share r
+             as whole walks (``effective_n_walks``), at most about sqrt(r)
+             times the error of the full budget unsmoothed.
     filter_method  "exact" (``filter_exact``) or "randomwalk" (``filter_randomwalk``).
     """
 
@@ -66,7 +65,6 @@ class FilterConfig:
     hops: int = 16
     rrz: float = 0.4
     r_max: float = 1e-5
-    n_walks: Optional[int] = None
     filter_method: str = "exact"
 
     def __post_init__(self):
@@ -78,16 +76,15 @@ class FilterConfig:
             raise ValueError("rrz must be in [0, 1]")
         if self.r_max <= 0.0:
             raise ValueError("r_max must be positive")
-        if self.n_walks is not None and self.n_walks < 1:
-            raise ValueError("n_walks must be >= 1")
         if self.filter_method not in ("exact", "randomwalk"):
             raise ValueError("filter_method must be 'exact' or 'randomwalk'")
 
     @property
     def effective_n_walks(self) -> int:
-        if self.n_walks is not None:
-            return self.n_walks
-        return max(1, math.ceil(1.0 / self.r_max))
+        """Walks per node that ``filter_randomwalk`` draws, as FORA sizes them:
+        max(1, ceil(ceil(1 / r_max) * r)), r = (1 - alpha)^(hops + 1)."""
+        residual = (1.0 - self.alpha) ** (self.hops + 1)
+        return max(1, math.ceil(math.ceil(1.0 / self.r_max) * residual))
 
 
 def ppr_weights(alpha: float, hops: int) -> np.ndarray:
@@ -159,22 +156,20 @@ def filter_randomwalk(g: CsrGraph, x: np.ndarray, cfg: FilterConfig,
 
     With L = ``cfg.hops`` and r = (1 - alpha)^(L + 1), F(x) is the head
     sum_{l<=L} w_l T^l x plus the tail r * T^(L+1) * F(x). ``_walk_filter``
-    estimates F(x) without bias as y from max(1, ceil(effective_n_walks * r))
-    walks per node, as FORA sizes its walks, and one Horner pass from
-    acc = r * y adds head and tail, which averages each node's walk noise
-    over its neighborhood.
+    estimates F(x) without bias as y from ``cfg.effective_n_walks`` walks per
+    node, and one Horner pass from acc = r * y adds head and tail, which
+    averages each node's walk noise over its neighborhood.
     """
     x = as_features(x)
-    residual = (1.0 - cfg.alpha) ** (cfg.hops + 1)
-    n_walks = max(1, math.ceil(cfg.effective_n_walks * residual))
-    out = _walk_filter(g, x, replace(cfg, n_walks=n_walks), seed)
-    out *= residual
+    out = _walk_filter(g, x, cfg.alpha, cfg.rrz, cfg.effective_n_walks, seed)
+    out *= (1.0 - cfg.alpha) ** (cfg.hops + 1)
     return _horner(_propagation_matrix(g, cfg.rrz), x, ppr_weights(cfg.alpha, cfg.hops), out)
 
 
-def _walk_filter(g: CsrGraph, x: np.ndarray, cfg: FilterConfig, seed: int) -> np.ndarray:
+def _walk_filter(g: CsrGraph, x: np.ndarray, alpha: float, rrz: float, n_walks: int,
+                 seed: int) -> np.ndarray:
     """Monte-Carlo estimate of the untruncated filter sum_{l>=0} alpha
-    (1 - alpha)^l T^l x from ``cfg.effective_n_walks`` walks per node.
+    (1 - alpha)^l T^l x from ``n_walks`` walks per node.
 
     With W = D^-1 A the uniform-neighbor transition matrix, the operator is
     T = D^rrz W D^-rrz, so T^l x = D^rrz W^l D^-rrz x and the geometric
@@ -200,11 +195,10 @@ def _walk_filter(g: CsrGraph, x: np.ndarray, cfg: FilterConfig, seed: int) -> np
         raise ValueError("random-walk filter requires the augmented graph")
     n = g.n_nodes
     deg = g.degrees.astype(np.float64)
-    deg_pow = deg ** cfg.rrz
+    deg_pow = deg ** rrz
     x_scaled = x / deg_pow[:, None]
     # the walk positions are intp, which ``take(..., out=)`` needs of cols too
     offs, cols = (a.astype(np.intp, copy=False) for a in (g.row_offsets, g.col_indices))
-    n_walks = cfg.effective_n_walks
     parts = -(-n_walks // WALK_CHUNK)
     base, extra = divmod(n_walks, parts)
     part_sizes = [base + 1] * extra + [base] * (parts - extra)
@@ -217,7 +211,7 @@ def _walk_filter(g: CsrGraph, x: np.ndarray, cfg: FilterConfig, seed: int) -> np
             rng = np.random.default_rng([seed, chunk])
             chunk += 1
             # moves before stopping: P(l) = alpha * (1 - alpha)^l, l >= 0
-            lengths = rng.geometric(cfg.alpha, size=(hi - lo) * size) - 1
+            lengths = rng.geometric(alpha, size=(hi - lo) * size) - 1
             # stable order by length (a radix sort on the narrowest dtype), so
             # the walks still moving at step s are the tail pos[starts[s]:]
             order = np.argsort(lengths.astype(np.min_scalar_type(lengths.max())),
@@ -309,12 +303,14 @@ def load_filtered_cache(path, header: dict) -> np.ndarray:
     Raises ``CacheMismatchError`` when the stored header differs from
     ``header``, the ``filtered_cache_header`` of the requested inputs: other
     filter options, graph, unfiltered features or random-walk seed (stale
-    cache).
+    cache). A key only one header holds, such as a removed option, differs.
     """
     with np.load(path) as blob:
         stored = json.loads(str(blob["header"]))
         values = blob["values"]
-    diffs = {k: (stored.get(k), v) for k, v in header.items() if stored.get(k) != v}
+    diffs = {k: (stored.get(k, "<absent>"), header.get(k, "<absent>"))
+             for k in sorted(stored.keys() | header.keys())
+             if k not in stored or k not in header or stored[k] != header[k]}
     if diffs:
         raise CacheMismatchError(f"stale filtered-feature cache: {diffs}")
     return as_features(values)

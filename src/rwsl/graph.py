@@ -28,15 +28,9 @@ EDGE_WRITE_BLOCK = 4096
 
 @dataclass(frozen=True)
 class CsrGraph:
-    """Symmetric CSR adjacency with optional self-loop augmentation.
-
-    ``n_edges`` counts undirected edges excluding self-loops, so
-    ``len(col_indices)`` is ``2 * n_edges`` plus ``n_nodes`` when
-    ``self_loops_added`` is set.
-    """
+    """Symmetric CSR adjacency with optional self-loop augmentation."""
 
     n_nodes: int
-    n_edges: int
     row_offsets: np.ndarray
     col_indices: np.ndarray
     self_loops_added: bool = False
@@ -44,6 +38,12 @@ class CsrGraph:
     def __post_init__(self):
         self.row_offsets.flags.writeable = False
         self.col_indices.flags.writeable = False
+
+    @property
+    def n_edges(self) -> int:
+        """Undirected edges excluding self-loops: the stored entries, less one
+        loop per node when ``self_loops_added`` is set, halved."""
+        return (len(self.col_indices) - self.n_nodes * self.self_loops_added) // 2
 
     @property
     def degrees(self) -> np.ndarray:
@@ -60,9 +60,8 @@ class CsrGraph:
             raise ValueError("row_offsets must have length n_nodes+1 and start at 0")
         if np.any(np.diff(offs) < 0):
             raise ValueError("row_offsets must be non-decreasing")
-        expected_len = 2 * self.n_edges + (self.n_nodes if self.self_loops_added else 0)
-        if offs[-1] != len(cols) or len(cols) != expected_len:
-            raise ValueError("col_indices length inconsistent with edge count")
+        if offs[-1] != len(cols):
+            raise ValueError("col_indices length inconsistent with row_offsets")
         if len(cols) and (cols.min() < 0 or cols.max() >= self.n_nodes):
             raise ValueError("column index out of range")
         rows = np.repeat(np.arange(self.n_nodes, dtype=np.int64), self.degrees)
@@ -122,7 +121,6 @@ def from_edge_array(n_nodes: int, u: np.ndarray, v: np.ndarray) -> CsrGraph:
     np.remainder(keys, n_nodes, out=keys)
     return CsrGraph(
         n_nodes=n_nodes,
-        n_edges=len(keys) // 2,
         row_offsets=row_offsets.astype(np.int64, copy=False),
         col_indices=keys,
     )
@@ -225,7 +223,7 @@ def augment_self_loops(g: CsrGraph) -> CsrGraph:
         width = np.where(below, width - half - 1, half)
     new_cols = np.insert(g.col_indices, positions, nodes)
     new_offsets = g.row_offsets + np.arange(n + 1, dtype=np.int64)
-    return CsrGraph(n, g.n_edges, new_offsets, new_cols, self_loops_added=True)
+    return CsrGraph(n, new_offsets, new_cols, self_loops_added=True)
 
 
 def graph_hash(g: CsrGraph) -> str:

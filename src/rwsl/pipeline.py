@@ -329,9 +329,7 @@ def run_pipeline(cfg: RunConfig, *, filtered=None, ae_checkpoint=None,
         train_cfg = replace(cfg.train, seed=seed)
         if autoencoder is None:
             ae_x = x_filtered if train_cfg.ae_input == "filtered" else x_raw
-            enc_dims = (ae_x.shape[1], *train_cfg.architecture)
-            encoder, decoder = run_stage("pretrain", pretrain_autoencoder, ae_x, enc_dims,
-                                         train_cfg)
+            encoder, decoder = run_stage("pretrain", pretrain_autoencoder, ae_x, train_cfg)
         else:
             encoder, decoder = (model.copy() for model in autoencoder)
         result = run_stage("train", train_rwsl, x_filtered, x_raw, cfg.k,
@@ -464,14 +462,16 @@ def bench_scalability(sizes, edge_factor: float, feat_dim: int, epochs: int,
     via tracemalloc. MemoryError yields a failure row and the remaining
     sizes continue.
 
-    ``sizes`` must be ascending. Runs are capped at the desk-scale ceiling
-    of 100k nodes by default; pass a larger ``max_nodes`` to opt in.
+    ``sizes`` must be ascending, none below ``k``. Runs are capped at the
+    desk-scale ceiling of 100k nodes by default; pass a larger ``max_nodes`` to opt in.
     """
     sizes = list(sizes)
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ValueError("sizes must be strictly ascending")
+    if sizes and sizes[0] < k:
+        raise ValueError(f"size {sizes[0]} is below k={k}")
     if sizes and sizes[-1] > max_nodes:
         raise ValueError(f"size {sizes[-1]} exceeds max_nodes={max_nodes}; "
                          "raise max_nodes to opt in to larger runs")

@@ -235,18 +235,16 @@ def _retain_freed_heap() -> None:
     mallopt(_M_TRIM_THRESHOLD, _HEAP_TOP_KEEP)
 
 
-def pretrain_autoencoder(x_in: np.ndarray, dims, cfg: TrainConfig):
+def pretrain_autoencoder(x_in: np.ndarray, cfg: TrainConfig):
     """Train a symmetric autoencoder by mini-batch reconstruction.
 
-    ``dims`` are the full encoder layer widths (input first, embedding
-    last); the decoder mirrors them. With ``pretrain_n_epochs == 0`` the
-    freshly initialized, untrained pair is returned. Deterministic for a
-    given config seed; raises ``DivergenceError`` on non-finite loss.
+    The encoder's widths are ``x_in``'s width, then ``cfg.architecture``;
+    the decoder mirrors them. With ``pretrain_n_epochs == 0`` the freshly
+    initialized, untrained pair is returned. Deterministic for a given
+    config seed; raises ``DivergenceError`` on non-finite loss.
     """
     x_in = as_features(x_in)
-    dims = tuple(int(d) for d in dims)
-    if dims[0] != x_in.shape[1]:
-        raise ValueError(f"input dim {x_in.shape[1]} != encoder dim {dims[0]}")
+    dims = (x_in.shape[1], *cfg.architecture)
     rng = np.random.default_rng([cfg.seed, 1])
     encoder = init_mlp(dims, rng)
     decoder = init_mlp(dims[::-1], rng)
@@ -393,7 +391,7 @@ def train_rwsl(x_filtered: np.ndarray, x_raw: Optional[np.ndarray],
     n, d = ae_x.shape
     enc_dims = (d, *cfg.architecture)
     if encoder is None or decoder is None:
-        encoder, decoder = pretrain_autoencoder(ae_x, enc_dims, cfg)
+        encoder, decoder = pretrain_autoencoder(ae_x, cfg)
     elif encoder.layer_dims != enc_dims:
         raise ValueError(f"pretrained encoder dims {encoder.layer_dims} != {enc_dims}")
 

@@ -27,6 +27,7 @@ from rwsl.pipeline import (bench_scalability, resolve_run_config, run_pipeline,
 from rwsl.spectral import verify_claim1, verify_claim2
 from rwsl.training import TrainConfig, train_rwsl
 
+from test_filters import walk_budget
 from test_nn import finite_diff_param_grads, max_rel_err
 
 
@@ -88,8 +89,8 @@ def test_criterion_02_randomwalk_estimator():
         for g in (path, rmat):
             x = rng.random((g.n_nodes, 4))
             exact = filter_exact(g, x, FilterConfig(alpha=0.2, hops=100, rrz=0.5))
-            est = filter_randomwalk(g, x, FilterConfig(alpha=0.2, rrz=0.5, n_walks=100_000),
-                                    seed=0)
+            est = filter_randomwalk(g, x, FilterConfig(alpha=0.2, rrz=0.5,
+                                                       r_max=walk_budget(100_000)), seed=0)
             mae = float(np.abs(est - exact).mean())
             assert mae <= 0.02, f"n={g.n_nodes}: MAE {mae}"
 
@@ -100,7 +101,8 @@ def test_criterion_02_randomwalk_estimator():
         for seed in range(100):
             for budget, bucket in ((4_000, mae_base), (16_000, mae_quad)):
                 est = filter_randomwalk(rmat, x, FilterConfig(alpha=0.2, rrz=0.5,
-                                                              n_walks=budget), seed=seed)
+                                                              r_max=walk_budget(budget)),
+                                        seed=seed)
                 bucket.append(np.abs(est - exact).mean())
         ratio = float(np.mean(mae_base) / np.mean(mae_quad))
         assert 1.6 <= ratio <= 2.5, f"error ratio {ratio}"

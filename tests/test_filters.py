@@ -1,3 +1,4 @@
+import math
 from dataclasses import fields, replace
 
 import numpy as np
@@ -47,15 +48,21 @@ def unblocked_filter_exact(g_aug, x, cfg):
     return acc
 
 
-def reference_walk_filter(g, x, cfg, seed):
+def walk_budget(n_walks):
+    """The ``r_max`` whose walk budget ceil(1 / r_max) is exactly ``n_walks``."""
+    r_max = 1.0 / n_walks
+    assert math.ceil(1.0 / r_max) == n_walks
+    return r_max
+
+
+def reference_walk_filter(g, x, alpha, rrz, n_walks, seed):
     """The fancy-index step and the scipy (row, col) -> CSR endpoint fold,
     kept as the bit-exact oracle of ``_walk_filter``."""
     n = g.n_nodes
     deg = g.degrees.astype(np.float64)
-    deg_pow = deg ** cfg.rrz
+    deg_pow = deg ** rrz
     x_scaled = x / deg_pow[:, None]
     offs, cols = g.row_offsets, g.col_indices
-    n_walks = cfg.effective_n_walks
     parts = -(-n_walks // WALK_CHUNK)
     base, extra = divmod(n_walks, parts)
     part_sizes = [base + 1] * extra + [base] * (parts - extra)
@@ -67,7 +74,7 @@ def reference_walk_filter(g, x, cfg, seed):
         for size in part_sizes:
             rng = np.random.default_rng([seed, chunk])
             chunk += 1
-            lengths = rng.geometric(cfg.alpha, size=(hi - lo) * size) - 1
+            lengths = rng.geometric(alpha, size=(hi - lo) * size) - 1
             order = np.argsort(lengths.astype(np.min_scalar_type(lengths.max())),
                                kind="stable")
             starts = np.cumsum(np.bincount(lengths))[:-1]
@@ -116,13 +123,15 @@ class TestWeights:
 
 class TestConfig:
     def test_walk_budget_from_r_max(self):
-        cfg = FilterConfig(r_max=1e-3)
-        assert cfg.effective_n_walks == 1000
-        assert FilterConfig(r_max=1e-3, n_walks=7).effective_n_walks == 7
+        # budget ceil(1 / r_max) = 1000, of which the walks draw r = 0.9^17
+        assert FilterConfig(r_max=1e-3).effective_n_walks == 167
+        assert FilterConfig(alpha=0.5, hops=2, r_max=1e-3).effective_n_walks == 125
+        assert FilterConfig(alpha=0.5, hops=0, r_max=0.3).effective_n_walks == 2
+        assert FilterConfig(alpha=0.9, hops=20, r_max=1e-3).effective_n_walks == 1
 
     def test_validation(self):
         for bad in (dict(alpha=0.0), dict(alpha=1.0), dict(hops=-1),
-                    dict(rrz=1.5), dict(r_max=0.0), dict(n_walks=0),
+                    dict(rrz=1.5), dict(r_max=0.0),
                     dict(filter_method="bogus")):
             with pytest.raises(ValueError):
                 FilterConfig(**bad)
@@ -288,11 +297,10 @@ class TestFilterRandomwalk:
         g = ORACLE_GRAPHS[graph]()
         x = np.random.default_rng(n_walks).standard_normal((g.n_nodes, 3))
         for rrz in (0.0, 0.5, 1.0):
-            cfg = FilterConfig(alpha=0.2, rrz=rrz, n_walks=n_walks)
             for seed in (0, 1):
-                assert np.array_equal(bits(_walk_filter(g, x, cfg, seed)),
-                                      bits(reference_walk_filter(g, x, cfg, seed))), \
-                    (rrz, seed)
+                got = _walk_filter(g, x, 0.2, rrz, n_walks, seed)
+                want = reference_walk_filter(g, x, 0.2, rrz, n_walks, seed)
+                assert np.array_equal(bits(got), bits(want)), (rrz, seed)
 
     def test_self_loops_only_spanning_chunks(self):
         # whole nodes per chunk: each row averages n_walks copies of itself
@@ -300,26 +308,24 @@ class TestFilterRandomwalk:
         empty = np.array([], dtype=np.int64)
         g = augment_self_loops(from_edge_array(7, empty, empty))
         x = np.random.default_rng(9).standard_normal((7, 3))
-        cfg = FilterConfig(alpha=0.3, rrz=0.4, n_walks=n_walks)
-        assert np.array_equal(_walk_filter(g, x, cfg, 1), x)
+        assert np.array_equal(_walk_filter(g, x, 0.3, 0.4, n_walks, 1), x)
         # one node's walks split over three chunks
-        cfg = FilterConfig(alpha=0.3, rrz=0.4, n_walks=2 * WALK_CHUNK + 1)
-        np.testing.assert_allclose(_walk_filter(g, x, cfg, 1), x, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(_walk_filter(g, x, 0.3, 0.4, 2 * WALK_CHUNK + 1, 1), x,
+                                   rtol=1e-14, atol=0)
 
     def test_deterministic_across_chunks(self):
         g = augment_self_loops(rmat_generate(300, 4, seed=3))
         x = np.random.default_rng(10).random((300, 2))
-        cfg = FilterConfig(alpha=0.2, rrz=0.5, n_walks=1000)
-        assert g.n_nodes * cfg.n_walks > 3 * WALK_CHUNK
-        a = _walk_filter(g, x, cfg, 11)
-        b = _walk_filter(g, x, cfg, 11)
-        c = _walk_filter(g, x, cfg, 12)
+        assert g.n_nodes * 1000 > 3 * WALK_CHUNK
+        a = _walk_filter(g, x, 0.2, 0.5, 1000, 11)
+        b = _walk_filter(g, x, 0.2, 0.5, 1000, 11)
+        c = _walk_filter(g, x, 0.2, 0.5, 1000, 12)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
     def test_lone_node_exact(self):
         out = filter_randomwalk(lone_node(), np.array([[4.0, 1.0]]),
-                                FilterConfig(alpha=0.3, rrz=0.5, n_walks=5), seed=0)
+                                FilterConfig(alpha=0.3, rrz=0.5, r_max=walk_budget(5)), seed=0)
         assert np.allclose(out, [[4.0, 1.0]])
 
     def test_zero_hops_split_matches_formula(self):
@@ -327,8 +333,9 @@ class TestFilterRandomwalk:
         # estimate from ceil(1000 * (1 - alpha)) = 500 walks
         g = augment_self_loops(rmat_generate(40, 4, seed=2))
         x = np.random.default_rng(12).standard_normal((40, 3))
-        cfg = FilterConfig(alpha=0.5, hops=0, rrz=0.4, n_walks=1000)
-        y = _walk_filter(g, x, replace(cfg, n_walks=500), 7)
+        cfg = FilterConfig(alpha=0.5, hops=0, rrz=0.4, r_max=walk_budget(1000))
+        assert cfg.effective_n_walks == 500
+        y = _walk_filter(g, x, 0.5, 0.4, 500, 7)
         op = _propagation_matrix(g, cfg.rrz)
         want = 0.5 * x + op @ (0.5 * y)
         assert np.array_equal(bits(filter_randomwalk(g, x, cfg, 7)), bits(want))
@@ -337,8 +344,9 @@ class TestFilterRandomwalk:
         # r = 0.5^3: 125 walks; acc = r * y, then acc = T acc + w_l x for l = 2, 1, 0
         g = augment_self_loops(rmat_generate(40, 4, seed=3))
         x = np.random.default_rng(13).standard_normal((40, 3))
-        cfg = FilterConfig(alpha=0.5, hops=2, rrz=0.4, n_walks=1000)
-        y = _walk_filter(g, x, replace(cfg, n_walks=125), 8)
+        cfg = FilterConfig(alpha=0.5, hops=2, rrz=0.4, r_max=walk_budget(1000))
+        assert cfg.effective_n_walks == 125
+        y = _walk_filter(g, x, 0.5, 0.4, 125, 8)
         op = _propagation_matrix(g, cfg.rrz)
         want = op @ (op @ (op @ (0.125 * y) + 0.125 * x) + 0.25 * x) + 0.5 * x
         assert np.array_equal(bits(filter_randomwalk(g, x, cfg, 8)), bits(want))
@@ -348,7 +356,7 @@ class TestFilterRandomwalk:
         import rwsl.filters as filters
         g = augment_self_loops(rmat_generate(200, 5, seed=4))
         x = np.random.default_rng(16).standard_normal((200, 33))
-        cfg = FilterConfig(alpha=0.2, hops=4, rrz=0.5, n_walks=300)
+        cfg = FilterConfig(alpha=0.2, hops=4, rrz=0.5, r_max=walk_budget(300))
         want = filter_randomwalk(g, x, cfg, 3)
         monkeypatch.setattr(filters, "FILTER_BLOCK", block)
         assert np.array_equal(bits(filter_randomwalk(g, x, cfg, 3)), bits(want))
@@ -359,7 +367,8 @@ class TestFilterRandomwalk:
         g = augment_self_loops(rmat_generate(1000, 10, seed=1))
         x = np.random.default_rng(17).standard_normal((1000, 8))
         ref = filter_exact(g, x, FilterConfig(alpha=0.1, hops=200, rrz=0.5))
-        est = filter_randomwalk(g, x, FilterConfig(alpha=0.1, rrz=0.5, n_walks=1000), 0)
+        est = filter_randomwalk(g, x, FilterConfig(alpha=0.1, rrz=0.5, r_max=walk_budget(1000)),
+                               0)
         assert np.abs(est - ref).mean() < 1e-3
 
     def test_any_rrz_matches_exact(self):
@@ -368,15 +377,15 @@ class TestFilterRandomwalk:
         g = augment_self_loops(rmat_generate(100, 5, seed=7))
         x = np.random.default_rng(8).random((100, 4))
         for rrz in (0.0, 0.4, 1.0):
-            est = filter_randomwalk(g, x, FilterConfig(alpha=0.2, rrz=rrz, n_walks=10_000),
-                                    seed=0)
+            est = filter_randomwalk(g, x, FilterConfig(alpha=0.2, rrz=rrz,
+                                                       r_max=walk_budget(10_000)), seed=0)
             ref = filter_exact(g, x, FilterConfig(alpha=0.2, hops=100, rrz=rrz))
             assert np.abs(est - ref).mean() < 0.008, rrz
 
     def test_deterministic_per_seed(self):
         g = path3()
         x = np.random.default_rng(3).random((3, 2))
-        cfg = FilterConfig(alpha=0.2, rrz=0.5, n_walks=500)
+        cfg = FilterConfig(alpha=0.2, rrz=0.5, r_max=walk_budget(500))
         a = filter_randomwalk(g, x, cfg, seed=11)
         b = filter_randomwalk(g, x, cfg, seed=11)
         c = filter_randomwalk(g, x, cfg, seed=12)
@@ -386,8 +395,8 @@ class TestFilterRandomwalk:
     def test_close_to_exact_on_path(self):
         g = path3()
         x = np.random.default_rng(4).random((3, 3))
-        est = filter_randomwalk(g, x, FilterConfig(alpha=0.2, rrz=0.5, n_walks=20000),
-                                seed=5)
+        est = filter_randomwalk(g, x, FilterConfig(alpha=0.2, rrz=0.5,
+                                                   r_max=walk_budget(20000)), seed=5)
         ref = filter_exact(g, x, FilterConfig(alpha=0.2, hops=100, rrz=0.5))
         assert np.abs(est - ref).max() < 0.02
 
@@ -395,7 +404,7 @@ class TestFilterRandomwalk:
         # unbiasedness proxy: averaging over seeds shrinks the error
         g = path3()
         x = np.random.default_rng(6).random((3, 2))
-        cfg = FilterConfig(alpha=0.2, rrz=0.5, n_walks=300)
+        cfg = FilterConfig(alpha=0.2, rrz=0.5, r_max=walk_budget(300))
         ref = filter_exact(g, x, FilterConfig(alpha=0.2, hops=100, rrz=0.5))
         estimates = [filter_randomwalk(g, x, cfg, seed=s) for s in range(32)]
         err_one = np.abs(estimates[0] - ref).mean()
@@ -408,7 +417,7 @@ class TestFilterRandomwalk:
         g = augment_self_loops(rmat_generate(60, 4, seed=11))
         x = np.random.default_rng(14).random((60, 3))
         ref = filter_exact(g, x, FilterConfig(alpha=0.2, hops=200, rrz=0.5))
-        cfg = FilterConfig(alpha=0.2, hops=1, rrz=0.5, n_walks=400)
+        cfg = FilterConfig(alpha=0.2, hops=1, rrz=0.5, r_max=walk_budget(400))
         estimates = [filter_randomwalk(g, x, cfg, seed=s) for s in range(64)]
         err_one = np.mean([np.abs(e - ref).mean() for e in estimates])
         err_avg = np.abs(np.mean(estimates, axis=0) - ref).mean()
@@ -418,16 +427,32 @@ class TestFilterRandomwalk:
         g = augment_self_loops(rmat_generate(100, 5, seed=7))
         x = np.random.default_rng(15).random((100, 4))
         ref = filter_exact(g, x, FilterConfig(alpha=0.2, hops=200, rrz=0.5))
-        cfg = FilterConfig(alpha=0.2, rrz=0.5, n_walks=2000)
+        cfg = FilterConfig(alpha=0.2, rrz=0.5, r_max=walk_budget(2000))
         for seed in range(5):
             split = np.abs(filter_randomwalk(g, x, cfg, seed) - ref).mean()
-            whole = np.abs(_walk_filter(g, x, cfg, seed) - ref).mean()
+            whole = np.abs(_walk_filter(g, x, 0.2, 0.5, 2000, seed) - ref).mean()
             assert split < whole, (seed, split, whole)
+
+    def test_draws_effective_n_walks(self, monkeypatch):
+        # budget 1000 at r_max 1e-3; the walks carry r = 0.9^17 of it
+        import rwsl.filters as filters
+        drawn = []
+        real = filters._walk_filter
+
+        def counting(g, x, alpha, rrz, n_walks, seed):
+            drawn.append(n_walks)
+            return real(g, x, alpha, rrz, n_walks, seed)
+
+        monkeypatch.setattr(filters, "_walk_filter", counting)
+        g = augment_self_loops(rmat_generate(50, 4, seed=1))
+        cfg = FilterConfig(alpha=0.1, hops=16, rrz=0.5, r_max=1e-3)
+        filter_randomwalk(g, np.ones((50, 2)), cfg, 0)
+        assert drawn == [cfg.effective_n_walks] == [167]
 
 
 class TestCache:
     def test_randomwalk_seed_pinned(self, tmp_path):
-        g, x, cfg = path3(), np.eye(3), FilterConfig(n_walks=50, filter_method="randomwalk")
+        g, x, cfg = path3(), np.eye(3), FilterConfig(r_max=0.02, filter_method="randomwalk")
         values = np.random.default_rng(0).random((3, 2))
         save_filtered_cache(tmp_path / "c.npz", values, filtered_cache_header(g, cfg, x, seed=0))
         assert np.array_equal(load_filtered_cache(tmp_path / "c.npz",
@@ -439,7 +464,7 @@ class TestCache:
             filtered_cache_header(g, cfg, x)
 
     @pytest.mark.parametrize("cfg", [FilterConfig(),
-                                     FilterConfig(n_walks=50, filter_method="randomwalk")],
+                                     FilterConfig(r_max=0.02, filter_method="randomwalk")],
                              ids=["exact", "randomwalk"])
     def test_previous_version_rejected(self, tmp_path, cfg):
         # version-4 exact caches hold forward-sum bits and name the method
@@ -459,7 +484,7 @@ class TestCache:
         assert filtered_cache_header(g, FilterConfig(), x, seed=3) == header
 
     # a value other than the default for every FilterConfig field
-    OTHER_VALUES = {"alpha": 0.2, "hops": 3, "rrz": 0.5, "r_max": 1e-3, "n_walks": 5,
+    OTHER_VALUES = {"alpha": 0.2, "hops": 3, "rrz": 0.5, "r_max": 1e-3,
                     "filter_method": "randomwalk"}
 
     @pytest.mark.parametrize("name", [f.name for f in fields(FilterConfig)])
@@ -471,6 +496,15 @@ class TestCache:
         stale = replace(cfg, **{name: self.OTHER_VALUES[name]})
         with pytest.raises(CacheMismatchError, match=name):
             load_filtered_cache(tmp_path / "c.npz", filtered_cache_header(g, stale, x, seed=0))
+
+    def test_key_only_stored_rejected(self, tmp_path):
+        # a version-5 cache written while FilterConfig still had n_walks
+        # holds "n_walks": null, a key today's header lacks
+        g, x = path3(), np.eye(3)
+        header = filtered_cache_header(g, FilterConfig(), x)
+        save_filtered_cache(tmp_path / "c.npz", np.ones((3, 2)), {**header, "n_walks": None})
+        with pytest.raises(CacheMismatchError, match="n_walks"):
+            load_filtered_cache(tmp_path / "c.npz", header)
 
     def test_round_trip(self, tmp_path):
         g = path3()
@@ -506,7 +540,7 @@ class TestCache:
                                 filtered_cache_header(g, FilterConfig(), 2 * x))
         with pytest.raises(CacheMismatchError):
             load_filtered_cache(tmp_path / "c.npz",
-                                filtered_cache_header(g, FilterConfig(n_walks=5), x))
+                                filtered_cache_header(g, FilterConfig(r_max=0.2), x))
 
     def test_stale_graph_rejected(self, tmp_path):
         g = path3()

@@ -164,9 +164,7 @@ def _csr_from_directed_reference(n_nodes, src, dst, self_loops_added=False):
     dst = keys % n_nodes
     row_offsets = np.zeros(n_nodes + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=n_nodes), out=row_offsets[1:])
-    n_loops = int(np.count_nonzero(src == dst))
-    return CsrGraph(n_nodes=n_nodes, n_edges=(len(keys) - n_loops) // 2,
-                    row_offsets=row_offsets, col_indices=dst,
+    return CsrGraph(n_nodes=n_nodes, row_offsets=row_offsets, col_indices=dst,
                     self_loops_added=self_loops_added)
 
 
@@ -193,7 +191,7 @@ def augment_self_loops_reference(g):
     positions = g.row_offsets[:-1] + counts
     new_cols = np.insert(g.col_indices, positions, np.arange(n, dtype=np.int64))
     new_offsets = g.row_offsets + np.arange(n + 1, dtype=np.int64)
-    return CsrGraph(n, g.n_edges, new_offsets, new_cols, self_loops_added=True)
+    return CsrGraph(n, new_offsets, new_cols, self_loops_added=True)
 
 
 def _clique_pairs(n_cliques, size):
@@ -297,11 +295,11 @@ class TestBuildMemory:
         assert peak - result < 0.5 * g.col_indices.nbytes
 
 
-def _csr(rows, n_edges, self_loops_added=False):
+def _csr(rows, self_loops_added=False):
     """Hand-built CsrGraph from per-row column lists, unchecked."""
     offsets = np.concatenate([[0], np.cumsum([len(r) for r in rows])]).astype(np.int64)
     cols = np.array([c for r in rows for c in r], dtype=np.int64)
-    return CsrGraph(len(rows), n_edges, offsets, cols, self_loops_added)
+    return CsrGraph(len(rows), offsets, cols, self_loops_added)
 
 
 def _validate_row_loop(g):
@@ -311,9 +309,8 @@ def _validate_row_loop(g):
         raise ValueError("row_offsets must have length n_nodes+1 and start at 0")
     if np.any(np.diff(offs) < 0):
         raise ValueError("row_offsets must be non-decreasing")
-    expected_len = 2 * g.n_edges + (g.n_nodes if g.self_loops_added else 0)
-    if offs[-1] != len(cols) or len(cols) != expected_len:
-        raise ValueError("col_indices length inconsistent with edge count")
+    if offs[-1] != len(cols):
+        raise ValueError("col_indices length inconsistent with row_offsets")
     if len(cols) and (cols.min() < 0 or cols.max() >= g.n_nodes):
         raise ValueError("column index out of range")
     for u in range(g.n_nodes):
@@ -358,46 +355,48 @@ def _edited_csr(draw):
         elif len(rows[u]) > 1 and op == "swap":
             i = draw(st.integers(0, len(rows[u]) - 2))
             rows[u][i], rows[u][i + 1] = rows[u][i + 1], rows[u][i]
-    n_edges = g.n_edges + draw(st.sampled_from([0, 0, 0, -1, 1]))
-    if draw(st.booleans()):  # keep the length check passing where it can
-        loops = n if g.self_loops_added else 0
-        n_edges = (sum(map(len, rows)) - loops) // 2
-    return _csr(rows, n_edges, g.self_loops_added)
+    return _csr(rows, g.self_loops_added)
 
 
 class TestValidate:
     def test_unsorted_row(self):
-        g = _csr([[1], [2, 0], [1]], n_edges=2)
+        g = _csr([[1], [2, 0], [1]])
         with pytest.raises(ValueError, match=r"^row 1 not strictly sorted / has duplicates$"):
             g.validate()
 
     def test_duplicate_column(self):
-        g = _csr([[1, 1], [0, 0], []], n_edges=2)
+        g = _csr([[1, 1], [0, 0], []])
         with pytest.raises(ValueError, match=r"^row 0 not strictly sorted / has duplicates$"):
             g.validate()
 
     def test_missing_self_loop(self):
-        g = _csr([[1], [0]], n_edges=0, self_loops_added=True)
+        g = _csr([[1], [0]], self_loops_added=True)
         with pytest.raises(ValueError, match=r"^self-loop state of row 0 inconsistent with flag$"):
             g.validate()
 
     def test_extra_self_loop(self):
-        g = _csr([[1], [0, 1], [2]], n_edges=2)
+        g = _csr([[1], [0, 1], [2]])
         with pytest.raises(ValueError, match=r"^self-loop state of row 1 inconsistent with flag$"):
             g.validate()
 
+    def test_offsets_disagree_with_columns(self):
+        g = CsrGraph(2, np.array([0, 1, 1]), np.array([1, 0]))
+        with pytest.raises(ValueError,
+                           match=r"^col_indices length inconsistent with row_offsets$"):
+            g.validate()
+
     def test_asymmetric_edge(self):
-        g = _csr([[1, 2], [2], [0]], n_edges=2)
+        g = _csr([[1, 2], [2], [0]])
         with pytest.raises(ValueError, match=r"^adjacency is not symmetric$"):
             g.validate()
 
     def test_lowest_offending_row_reported(self):
         # row 0 carries a self-loop, row 2 is unsorted: row 0 comes first
-        g = _csr([[0, 1], [0, 2], [1, 0]], n_edges=3)
+        g = _csr([[0, 1], [0, 2], [1, 0]])
         with pytest.raises(ValueError, match=r"^self-loop state of row 0 inconsistent"):
             g.validate()
         # both checks fail on row 0: sortedness is checked first
-        g = _csr([[1, 0], [0], [0]], n_edges=2)
+        g = _csr([[1, 0], [0], [0]])
         with pytest.raises(ValueError, match=r"^row 0 not strictly sorted"):
             g.validate()
 
@@ -462,6 +461,8 @@ class TestAugment:
         g = disjoint_cliques(2, 4)
         ga = augment_self_loops(g)
         assert int(ga.degrees.sum()) == 2 * g.n_edges + g.n_nodes
+        # the loops added are not edges
+        assert ga.n_edges == g.n_edges == 12
 
     def test_double_augment_rejected(self):
         ga = augment_self_loops(disjoint_cliques(1, 3))

@@ -24,6 +24,8 @@ from rwsl.metrics import MetricReport
 from rwsl.spectral import spectral_report
 from rwsl.training import TrainConfig, train_rwsl
 
+from test_filters import walk_budget
+
 ARTIFACTS = ("metrics.json", "metrics.csv", "loss.csv", "assignments.txt",
              "checkpoint.npz", "filtered.npz", "manifest.json")
 
@@ -32,7 +34,7 @@ ARTIFACTS = ("metrics.json", "metrics.csv", "loss.csv", "assignments.txt",
 NON_DEFAULT_CONFIG = {
     "edges": "e.txt", "n_nodes": 7, "features": "f.txt", "k": 3, "out": "o",
     "labels": "l.txt", "repeat": 2, "filter_method": "randomwalk",
-    "alpha": 0.3, "hops": 5, "rrz": 0.5, "r_max": 1e-3, "n_walks": 9,
+    "alpha": 0.3, "hops": 5, "rrz": 0.5, "r_max": 1e-3,
     "architecture": "16-4", "learning_rate": 0.02, "pretrain_lr": 0.03, "n_epochs": 4,
     "pretrain_n_epochs": 6, "batch_size": 8, "beta": 0.2, "gamma": 0.3, "epsilon": 0.4,
     "v": 2.0, "update_p": 3, "dropout_rate": 0.1, "weight_decay": 0.05, "seed": 11,
@@ -77,7 +79,7 @@ class TestConfigParsing:
     def test_every_config_field_round_trips(self):
         cfg = resolve_run_config(NON_DEFAULT_CONFIG)
         flat = run_config_to_flat(cfg)
-        assert len(flat) == 30 and set(flat) == set(NON_DEFAULT_CONFIG)
+        assert len(flat) == 29 and set(flat) == set(NON_DEFAULT_CONFIG)
         section_keys = [f.name for cls in (FilterConfig, TrainConfig) for f in fields(cls)]
         assert set(section_keys) <= set(flat)
         assert resolve_run_config(flat) == cfg
@@ -235,7 +237,7 @@ class TestRunPipeline:
 
     def test_randomwalk_filter_method(self, fixture_run_values):
         cfg = resolve_run_config({**fixture_run_values, "filter_method": "randomwalk",
-                                  "rrz": 0.5, "n_walks": 2000,
+                                  "rrz": 0.5, "r_max": walk_budget(2000),
                                   "n_epochs": 60, "pretrain_n_epochs": 50})
         outcome = run_pipeline(cfg)
         assert outcome.summary["mean"]["accuracy"] == 1.0
@@ -255,7 +257,7 @@ class TestRunPipeline:
                                                  "filtered.npz", "loss.csv"]
         run_pipeline(resolve_run_config({**fixture_run_values, "out": str(out),
                                          "filter_method": "randomwalk", "rrz": 0.5,
-                                         "n_walks": 200}))
+                                         "r_max": walk_budget(200)}))
         assert (out / "filtered.npz").exists()
         manifest = json.loads((out / "manifest.json").read_text())
         assert sorted(manifest["artifacts"]) == ["assignments.txt", "checkpoint.npz",
@@ -266,7 +268,7 @@ class TestRunPipeline:
     @pytest.mark.parametrize("changes, released", [
         ({}, True),
         ({"ae_input": "raw"}, False),
-        ({"filter_method": "randomwalk", "rrz": 0.5, "n_walks": 200}, False),
+        ({"filter_method": "randomwalk", "rrz": 0.5, "r_max": walk_budget(200)}, False),
     ])
     def test_raw_features_released_after_filtering(self, changes, released,
                                                    fixture_run_values, monkeypatch):
@@ -411,7 +413,7 @@ class TestSweeps:
 
         monkeypatch.setattr(pl, "filter_randomwalk", walking)
         cfg = resolve_run_config({**fixture_run_values, "filter_method": "randomwalk",
-                                  "rrz": 0.5, "n_walks": 200, "repeat": 2,
+                                  "rrz": 0.5, "r_max": walk_budget(200), "repeat": 2,
                                   "n_epochs": 20, "pretrain_n_epochs": 10})
         sweep_epsilon(cfg, [0.0, 1.0])
         assert seeds == [0, 1, 0, 1]
@@ -447,6 +449,19 @@ class TestBench:
     def test_desk_scale_ceiling(self):
         with pytest.raises(ValueError, match="max_nodes"):
             bench_scalability([200_000], 4, 8, 1)
+
+    def test_size_below_k_rejected_before_any_graph(self, monkeypatch, tmp_path, capsys):
+        import rwsl.pipeline as pl
+
+        def no_graph(*args, **kwargs):
+            raise AssertionError("rmat_generate called")
+
+        monkeypatch.setattr(pl, "rmat_generate", no_graph)
+        with pytest.raises(ValueError, match="size 5 is below k=8"):
+            bench_scalability([5, 300], 4, 8, 1)
+        assert cli_main(["bench", "--sizes", "5", "--epochs", "1", "--repeats", "1",
+                         "--out", str(tmp_path / "b5")]) == 9
+        assert "stage 'bench' failed: size 5 is below k=8" in capsys.readouterr().err
 
     def test_oom_yields_failure_row_and_continues(self, monkeypatch):
         import rwsl.pipeline as pl
@@ -583,7 +598,7 @@ class TestCli:
     def test_train_writes_pipeline_artifacts(self, method, fixture_run_values, tmp_path,
                                              capsys):
         values = {**fixture_run_values, "filter_method": method, "rrz": 0.5,
-                  "n_walks": 500}
+                  "r_max": walk_budget(500)}
         names = ("loss.csv", "assignments.txt", "checkpoint.npz", "filtered.npz",
                  "metrics.json", "metrics.csv")
         written = {}
@@ -691,6 +706,17 @@ class TestCli:
         assert cli_main(["spectral", "--n-nodes", "3500", "--out", str(tmp_path / "s")]) == 10
         assert "stage 'spectral' failed" in capsys.readouterr().err
 
+    def test_config_naming_n_walks_exits_config(self, fixture_run_values, tmp_path, capsys):
+        # manifests written while FilterConfig had an n_walks field hold "n_walks": null
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"kind": "manifest",
+                                        "config": {**fixture_run_values, "n_walks": None}}))
+        out = tmp_path / "rerun"
+        assert cli_main(["pipeline", "--config", str(manifest), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "stage 'config' failed: unknown config keys: ['n_walks']" in err
+        assert not out.exists()
+
     def test_bench_stage_exit_code(self, tmp_path, capsys):
         assert cli_main(["bench", "--sizes", "300,200", "--out", str(tmp_path / "b")]) == 9
         assert "stage 'bench' failed: sizes must be strictly ascending" in capsys.readouterr().err
@@ -722,7 +748,10 @@ class TestCli:
     @pytest.mark.parametrize("argv", [["bench", "--sizes", "1,x"],
                                       ["spectral", "--n-nodes", "30", "--alphas", "0.1,y"],
                                       ["bench", "--sizes", ","],
-                                      ["spectral", "--n-nodes", "30", "--alphas", ","]])
+                                      ["spectral", "--n-nodes", "30", "--alphas", ","],
+                                      ["spectral", "--n-nodes", "30", "--alphas", "0.1,0.1"],
+                                      ["spectral", "--n-nodes", "30", "--alphas", "0.1,1.5"],
+                                      ["spectral", "--n-nodes", "30", "--hops", "-1"]])
     def test_bad_number_list_exits_config(self, argv, tmp_path, capsys):
         out = tmp_path / "out"
         assert cli_main([*argv, "--out", str(out)]) == 2

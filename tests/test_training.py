@@ -58,39 +58,34 @@ class TestPretrain:
     def test_zero_epochs_returns_untrained(self):
         x = np.random.default_rng(0).random((12, 5))
         cfg = replace(FAST, pretrain_n_epochs=0)
-        enc, dec = pretrain_autoencoder(x, (5, 16, 4), cfg)
-        enc2, dec2 = pretrain_autoencoder(x, (5, 16, 4), cfg)
+        enc, dec = pretrain_autoencoder(x, cfg)
+        enc2, dec2 = pretrain_autoencoder(x, cfg)
         assert all(np.array_equal(a, b) for a, b in zip(enc.weights, enc2.weights))
         assert enc.layer_dims == (5, 16, 4)
         assert dec.layer_dims == (4, 16, 5)
 
     def test_constant_rows_loss_to_zero(self):
         x = np.tile(np.array([0.3, 0.8, 0.1]), (16, 1))
-        cfg = replace(FAST, pretrain_n_epochs=400, batch_size=16)
-        enc, dec = pretrain_autoencoder(x, (3, 8, 2), cfg)
+        cfg = replace(FAST, architecture=(8, 2), pretrain_n_epochs=400, batch_size=16)
+        enc, dec = pretrain_autoencoder(x, cfg)
         assert reconstruction_loss(enc, dec, x) < 1e-3
 
     def test_final_loss_below_initial(self):
         x = np.random.default_rng(1).random((20, 6))
-        init_enc, init_dec = pretrain_autoencoder(x, (6, 16, 3),
-                                                  replace(FAST, pretrain_n_epochs=0))
-        enc, dec = pretrain_autoencoder(x, (6, 16, 3),
-                                        replace(FAST, pretrain_n_epochs=60))
+        cfg = replace(FAST, architecture=(16, 3))
+        init_enc, init_dec = pretrain_autoencoder(x, replace(cfg, pretrain_n_epochs=0))
+        enc, dec = pretrain_autoencoder(x, replace(cfg, pretrain_n_epochs=60))
         assert (reconstruction_loss(enc, dec, x)
                 < reconstruction_loss(init_enc, init_dec, x))
 
     def test_divergence_raises(self):
         # lr * weight_decay > 2 makes the decoupled decay factor explosive
         x = np.random.default_rng(2).random((10, 4)) * 100
-        cfg = replace(FAST, pretrain_lr=10.0, weight_decay=10.0,
+        cfg = replace(FAST, architecture=(8, 2), pretrain_lr=10.0, weight_decay=10.0,
                       pretrain_n_epochs=500, batch_size=10)
         with np.errstate(all="ignore"):
             with pytest.raises(DivergenceError):
-                pretrain_autoencoder(x, (4, 8, 2), cfg)
-
-    def test_dim_mismatch(self):
-        with pytest.raises(ValueError):
-            pretrain_autoencoder(np.ones((4, 3)), (5, 2), FAST)
+                pretrain_autoencoder(x, cfg)
 
 
 class TestTrainRwsl:
@@ -159,7 +154,7 @@ class TestTrainRwsl:
 
     def test_pretrained_injection_matches_internal(self, clique_inputs):
         xf, x = clique_inputs
-        enc, dec = pretrain_autoencoder(xf, (xf.shape[1], *FAST.architecture), FAST)
+        enc, dec = pretrain_autoencoder(xf, FAST)
         res_inj = train_rwsl(xf, x, 2, FAST, encoder=enc, decoder=dec)
         res_int = train_rwsl(xf, x, 2, FAST)
         assert np.array_equal(res_inj.loss_history, res_int.loss_history)
@@ -223,7 +218,7 @@ class TestPassCount:
         xf, x = clique_inputs
         cfg = replace(FAST, n_epochs=n_epochs, update_p=update_p, batch_size=4,
                       kmeans_sample_cap=cap, pretrain_n_epochs=0)
-        enc, dec = pretrain_autoencoder(xf, (xf.shape[1], *cfg.architecture), cfg)
+        enc, dec = pretrain_autoencoder(xf, cfg)
         calls = []
         forward = training.mlp_forward
 
@@ -475,7 +470,7 @@ class TestMemory:
         x = self.inputs()
         cfg = TrainConfig(architecture=self.ARCH, batch_size=32, n_epochs=2,
                           pretrain_n_epochs=0)
-        enc, dec = pretrain_autoencoder(x, (self.D, *self.ARCH), cfg)
+        enc, dec = pretrain_autoencoder(x, cfg)
         dnn = init_mlp((self.D, *self.ARCH[:-1], self.K), np.random.default_rng(0))
         peak = traced_peak(train_rwsl, x, None, self.K, cfg, encoder=enc, decoder=dec)
         # parameters 1 + snapshot 0.33 + moments 2 + one model's gradients
@@ -485,10 +480,9 @@ class TestMemory:
 
     def test_pretrain_peak(self, traced_peak):
         x = self.inputs()
-        dims = (self.D, *self.ARCH)
         cfg = TrainConfig(architecture=self.ARCH, batch_size=32, pretrain_n_epochs=2)
-        ae_bytes = parameter_bytes(*pretrain_autoencoder(x, dims, replace(cfg, pretrain_n_epochs=0)))
-        peak = traced_peak(pretrain_autoencoder, x, dims, cfg)
+        ae_bytes = parameter_bytes(*pretrain_autoencoder(x, replace(cfg, pretrain_n_epochs=0)))
+        peak = traced_peak(pretrain_autoencoder, x, cfg)
         # one model's gradients at a time reads 3.9x; both at once plus the
         # last step's, 5.4x
         assert peak < 4.5 * ae_bytes
