@@ -21,7 +21,7 @@ from .graph import (augment_self_loops, load_edge_list, load_features,
                     load_labels, rmat_generate, save_features)
 from .metrics import evaluate_all
 from .pipeline import (DESK_SCALE_CEILING, bench_fit_lines, bench_rows_to_csv,
-                       bench_scalability, config_fields, filter_features,
+                       bench_scalability, check_bench_sizes, config_fields, filter_features,
                        load_config_file, resolve_run_config, run_pipeline,
                        spectral_run, split_config, sweep_alpha, sweep_epsilon,
                        write_csv, write_json, write_metric_report_csv)
@@ -58,14 +58,6 @@ def _number_list(text: str, parse) -> list:
     if not values:
         raise ValueError(f"no values in {text!r}")
     return values
-
-
-def _float_list(text: str):
-    return _number_list(text, float)
-
-
-def _int_list(text: str):
-    return _number_list(text, int)
 
 
 # ---------------------------------------------------------------------------
@@ -160,13 +152,14 @@ def _cmd_sweep(args, which: str) -> int:
     cfg = run_stage("config", resolve_run_config, values)
     sweep = sweep_epsilon if which == "epsilon" else sweep_alpha
     # the sweep's stages keep their codes; only the value checks are untagged
-    result = run_stage("config", lambda: sweep(cfg, _float_list(args.values)))
+    result = run_stage("config", lambda: sweep(cfg, _number_list(args.values, float)))
     print(f"sweep CSV -> {result.csv_path}")
     return 0
 
 
 def _cmd_bench(args) -> int:
-    sizes = run_stage("config", _int_list, args.sizes)
+    sizes = run_stage("config", _number_list, args.sizes, int)
+    run_stage("bench", check_bench_sizes, sizes, args.repeats, max_nodes=args.max_nodes)
     out_dir = Path(args.out)
     run_stage("write", out_dir.mkdir, parents=True, exist_ok=True)
     rows = run_stage("bench", bench_scalability, sizes, args.edge_factor, args.feat_dim,
@@ -181,7 +174,7 @@ def _cmd_bench(args) -> int:
 def _cmd_spectral(args) -> int:
     values = _collect_config(args)
     _require(values, ("n_nodes", "out"))
-    alphas = (run_stage("config", _float_list, args.alphas) if args.alphas
+    alphas = (run_stage("config", _number_list, args.alphas, float) if args.alphas
               else [values.get("alpha", 0.1)])
     hops = values.get("hops", _SPECTRAL_HOPS)
     for alpha in alphas:

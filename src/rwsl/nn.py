@@ -1,8 +1,9 @@
 """Dense feed-forward network machinery: ReLU MLPs with manual backprop,
 inverted dropout, decoupled-weight-decay Adam, and the two training losses.
 
-All math is plain float64 numpy. Forward passes record everything backward
-needs in a ``ForwardCache``; gradients are exact (finite-difference tested).
+All math is plain float64 numpy. Forward passes take their dropout masks
+from the caller and record everything backward needs in a ``ForwardCache``;
+gradients are exact (finite-difference tested).
 
 Passes and optimizer steps work in place: a forward adds the bias, applies
 the ReLU, the mix and the dropout scaling on the fresh matmul result, a
@@ -79,29 +80,24 @@ class ForwardCache:
 
 
 def mlp_forward(model: MlpModel, x: np.ndarray, dropout: float = 0.0,
-                training: bool = False, rng: Optional[np.random.Generator] = None,
-                masks: Optional[list] = None, mix: Optional[list] = None,
-                mix_eps: float = 0.0):
+                masks: Optional[list] = None, mix: Optional[list] = None, mix_eps: float = 0.0):
     """Run the stack; returns (output, hidden activations, cache).
 
     Hidden activations are the post-ReLU values before mixing/dropout.
     ``mix`` optionally blends constant per-layer arrays into hidden layers:
-    h~ = (1 - mix_eps) * h + mix_eps * mix[l]. Dropout uses inverted
-    scaling, applied only when ``training``; pass ``masks`` to use a set of
-    boolean keep-masks drawn beforehand (gradient checks replay recorded
-    ones; the co-train step draws them on its calling thread).
-    ``x`` and ``mix`` are only read.
+    h~ = (1 - mix_eps) * h + mix_eps * mix[l]. Dropout applies exactly when
+    ``masks`` is given: one boolean keep-mask per hidden layer, drawn by the
+    caller (the trainer draws them; gradient checks replay recorded ones),
+    with inverted scaling by 1 / (1 - ``dropout``). ``x``, ``masks`` and
+    ``mix`` are only read.
     """
     if x.shape[1] != model.layer_dims[0]:
         raise ValueError(f"input dim {x.shape[1]} != layer dim {model.layer_dims[0]}")
     n_layers = len(model.weights)
     if mix is not None and len(mix) != n_layers - 1:
         raise ValueError(f"expected {n_layers - 1} mix arrays, got {len(mix)}")
-    use_dropout = training and dropout > 0.0
-    if use_dropout and rng is None and masks is None:
-        raise ValueError("training dropout needs an rng or recorded masks")
     a = x
-    hidden, inputs, mask_rec = [], [], []
+    hidden, inputs = [], []
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
         inputs.append(a)
         s = a @ w
@@ -115,17 +111,12 @@ def mlp_forward(model: MlpModel, x: np.ndarray, dropout: float = 0.0,
         if mix is not None:
             a = np.multiply(h, 1.0 - mix_eps)
             a += np.multiply(mix[i], mix_eps)
-        if use_dropout:
-            m = masks[i] if masks is not None else (rng.random(h.shape) >= dropout)
-            mask_rec.append(m)
+        if masks is not None:
             # h * (m / (1 - p)) with a 0/1 mask, without the scaled-mask array
-            a = np.multiply(a, m, out=None if a is h else a)
+            a = np.multiply(a, masks[i], out=None if a is h else a)
             a *= 1.0 / (1.0 - dropout)
-        else:
-            mask_rec.append(None)
-    cache = ForwardCache(inputs, hidden, mask_rec, dropout,
-                         None if mix is None else mix_eps)
-    return out, hidden, cache
+    return out, hidden, ForwardCache(inputs, hidden, masks or [None] * (n_layers - 1), dropout,
+                                     None if mix is None else mix_eps)
 
 
 @dataclass

@@ -257,9 +257,10 @@ def run_pipeline(cfg: RunConfig, *, filtered=None, ae_checkpoint=None,
     """Execute the full pipeline and write the artifact set.
 
     Repeats the pretrain/train/evaluate segment with seeds
-    seed .. seed+repeat-1 and aggregates the metric reports. The top-level
-    loss/assignment/checkpoint artifacts come from the first seed. Without
-    labels, evaluation and the metric files are skipped.
+    seed .. seed+repeat-1 and aggregates the metric reports; each seed
+    passes one autoencoder input (``ae_input``) to pretraining and training.
+    The top-level loss/assignment/checkpoint artifacts come from the first
+    seed. Without labels, evaluation and the metric files are skipped.
 
     ``filtered`` (a cache written by ``save_filtered_cache``, checked against
     this run's graph, features, filter options and seed) replaces the filter
@@ -327,13 +328,13 @@ def run_pipeline(cfg: RunConfig, *, filtered=None, ae_checkpoint=None,
         if not refilter:
             g_aug = None
         train_cfg = replace(cfg.train, seed=seed)
+        ae_x = x_filtered if train_cfg.ae_input == "filtered" else x_raw
         if autoencoder is None:
-            ae_x = x_filtered if train_cfg.ae_input == "filtered" else x_raw
             encoder, decoder = run_stage("pretrain", pretrain_autoencoder, ae_x, train_cfg)
         else:
             encoder, decoder = (model.copy() for model in autoencoder)
-        result = run_stage("train", train_rwsl, x_filtered, x_raw, cfg.k,
-                           train_cfg, encoder=encoder, decoder=decoder)
+        result = run_stage("train", train_rwsl, x_filtered, ae_x, cfg.k, train_cfg,
+                           encoder, decoder)
         if labels is not None:
             reports.append(run_stage("eval", evaluate_all, g_plain, result.assignments,
                                      labels))
@@ -450,6 +451,21 @@ BENCH_TRAIN_CONFIG = TrainConfig(
 DESK_SCALE_CEILING = 100_000
 
 
+def check_bench_sizes(sizes, repeats: int, k: int = 8, max_nodes=DESK_SCALE_CEILING) -> list:
+    """``sizes`` as a list, once ``bench_scalability``'s options pass its checks."""
+    sizes = list(sizes)
+    if repeats < 1:
+        raise ValueError("repeats must be >= 1")
+    if any(b <= a for a, b in zip(sizes, sizes[1:])):
+        raise ValueError("sizes must be strictly ascending")
+    if sizes and sizes[0] < k:
+        raise ValueError(f"size {sizes[0]} is below k={k}")
+    if sizes and sizes[-1] > max_nodes:
+        raise ValueError(f"size {sizes[-1]} exceeds max_nodes={max_nodes}; "
+                         "raise max_nodes to opt in to larger runs")
+    return sizes
+
+
 def bench_scalability(sizes, edge_factor: float, feat_dim: int, epochs: int,
                       repeats: int = 3, seed: int = 0, k: int = 8,
                       max_nodes: int = DESK_SCALE_CEILING) -> list:
@@ -465,16 +481,7 @@ def bench_scalability(sizes, edge_factor: float, feat_dim: int, epochs: int,
     ``sizes`` must be ascending, none below ``k``. Runs are capped at the
     desk-scale ceiling of 100k nodes by default; pass a larger ``max_nodes`` to opt in.
     """
-    sizes = list(sizes)
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
-    if any(b <= a for a, b in zip(sizes, sizes[1:])):
-        raise ValueError("sizes must be strictly ascending")
-    if sizes and sizes[0] < k:
-        raise ValueError(f"size {sizes[0]} is below k={k}")
-    if sizes and sizes[-1] > max_nodes:
-        raise ValueError(f"size {sizes[-1]} exceeds max_nodes={max_nodes}; "
-                         "raise max_nodes to opt in to larger runs")
+    sizes = check_bench_sizes(sizes, repeats, k, max_nodes)
     filter_cfg = FilterConfig()
     train_cfg = replace(BENCH_TRAIN_CONFIG, n_epochs=epochs)
     rows = []
@@ -493,7 +500,7 @@ def bench_scalability(sizes, edge_factor: float, feat_dim: int, epochs: int,
                     tracemalloc.start()
                 tracemalloc.reset_peak()
                 t0 = time.perf_counter()
-                train_rwsl(xf, None, k, train_cfg)
+                train_rwsl(xf, xf, k, train_cfg, *pretrain_autoencoder(xf, train_cfg))
                 train_s = time.perf_counter() - t0
                 _, peak = tracemalloc.get_traced_memory()
                 if started_here:

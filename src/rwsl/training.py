@@ -1,7 +1,7 @@
 """Self-supervised co-training of the autoencoder and the cluster DNN.
 
 ``pretrain_autoencoder`` fits a symmetric MLP autoencoder on reconstruction
-loss. ``train_rwsl`` then runs the co-train loop: per iteration the encoder
+loss; ``train_rwsl`` then co-trains that pair: per iteration the encoder
 activations are snapshotted, the target distribution is refreshed from the
 encoder's soft assignments on a fixed cadence, and each mini-batch jointly
 updates encoder, decoder and DNN on
@@ -19,7 +19,8 @@ right after its own backward pass, after which its gradients and forward
 cache are dropped. Each backward reads only its own model's weights and
 AdamW is elementwise, so the values are the same as one joint update after
 all three backward passes. The memory a step frees stays in the process
-for the next step (``_retain_freed_heap``).
+for the next step (``_retain_freed_heap``). A step draws all its dropout
+masks before its forward passes.
 
 Within a step the autoencoder branch (encoder, decoder) and the DNN branch
 (snapshot, DNN) are independent until the losses and again after them.
@@ -240,8 +241,10 @@ def pretrain_autoencoder(x_in: np.ndarray, cfg: TrainConfig):
 
     The encoder's widths are ``x_in``'s width, then ``cfg.architecture``;
     the decoder mirrors them. With ``pretrain_n_epochs == 0`` the freshly
-    initialized, untrained pair is returned. Deterministic for a given
-    config seed; raises ``DivergenceError`` on non-finite loss.
+    initialized, untrained pair is returned. Each step draws its encoder's,
+    then its decoder's dropout masks from the RNG that shuffles the batches.
+    Deterministic for a given config seed; raises ``DivergenceError`` on
+    non-finite loss.
     """
     x_in = as_features(x_in)
     dims = (x_in.shape[1], *cfg.architecture)
@@ -269,10 +272,20 @@ def _backward_update(model: MlpModel, cache, output_gradient: np.ndarray,
     return grads.d_input
 
 
+def _dropout_masks(model: MlpModel, rows: int, p: float,
+                   rng: np.random.Generator) -> Optional[list]:
+    """Keep-masks of a ``rows``-row batch for each hidden layer, in layer order; None at p = 0."""
+    if p == 0.0:
+        return None
+    return [rng.random((rows, width)) >= p for width in model.layer_dims[1:-1]]
+
+
 def _pretrain_step(encoder: MlpModel, decoder: MlpModel, opts: list,
                    xb: np.ndarray, cfg: TrainConfig, rng: np.random.Generator) -> None:
-    z, _, ecache = mlp_forward(encoder, xb, cfg.dropout_rate, True, rng)
-    xr, _, dcache = mlp_forward(decoder, z, cfg.dropout_rate, True, rng)
+    p = cfg.dropout_rate
+    enc_masks, dec_masks = (_dropout_masks(m, len(xb), p, rng) for m in (encoder, decoder))
+    z, _, ecache = mlp_forward(encoder, xb, p, enc_masks)
+    xr, _, dcache = mlp_forward(decoder, z, p, dec_masks)
     loss, d_xr = mse_loss(xb, xr)
     if not np.isfinite(loss):
         raise DivergenceError("autoencoder pretraining diverged; lower pretrain_lr")
@@ -280,14 +293,6 @@ def _pretrain_step(encoder: MlpModel, decoder: MlpModel, opts: list,
     d_z = _backward_update(decoder, dcache, d_xr, opts[1], lr, wd)
     del xr, dcache, d_xr
     _backward_update(encoder, ecache, d_z, opts[0], lr, wd)
-
-
-def _dropout_masks(model: MlpModel, rows: int, p: float,
-                   rng: np.random.Generator) -> Optional[list]:
-    """The keep-masks a training ``mlp_forward`` of ``rows`` rows would draw."""
-    if p == 0.0:
-        return None
-    return [rng.random((rows, width)) >= p for width in model.layer_dims[1:-1]]
 
 
 def _cotrain_step(models: tuple, opts: list, snapshot: MlpModel,
@@ -306,13 +311,12 @@ def _cotrain_step(models: tuple, opts: list, snapshot: MlpModel,
     def dnn_forward():
         # frozen iteration-start activations for blending
         _, mix_hidden, _ = mlp_forward(snapshot, xa_b)
-        logits, _, hcache = mlp_forward(dnn, xf_b, p, True, masks=dnn_masks,
-                                        mix=mix_hidden, mix_eps=eps)
+        logits, _, hcache = mlp_forward(dnn, xf_b, p, dnn_masks, mix_hidden, eps)
         return logits, hcache
 
     dnn_pass = helper.submit(dnn_forward)
-    z, _, ecache = mlp_forward(encoder, xa_b, p, True, masks=enc_masks)
-    xr, _, dcache = mlp_forward(decoder, z, p, True, masks=dec_masks)
+    z, _, ecache = mlp_forward(encoder, xa_b, p, enc_masks)
+    xr, _, dcache = mlp_forward(decoder, z, p, dec_masks)
     l_mse, d_xr = mse_loss(xa_b, xr)
     logits, hcache = dnn_pass.result()
     del dnn_pass
@@ -356,43 +360,34 @@ class TrainResult:
     dnn: MlpModel
 
 
-def train_rwsl(x_filtered: np.ndarray, x_raw: Optional[np.ndarray],
-               n_clusters: int, cfg: TrainConfig, *,
-               encoder: Optional[MlpModel] = None,
-               decoder: Optional[MlpModel] = None) -> TrainResult:
-    """Run the full co-train loop and return assignments plus diagnostics.
+def train_rwsl(x_filtered: np.ndarray, ae_x: np.ndarray, n_clusters: int,
+               cfg: TrainConfig, encoder: MlpModel, decoder: MlpModel) -> TrainResult:
+    """Co-train a pretrained autoencoder with a new cluster DNN.
 
-    Steps: (1) pretrain the autoencoder on filtered or raw attributes per
-    ``cfg.ae_input`` (skipped when a pretrained pair is passed in);
-    (2) initialize centroids by k-means on the embeddings; (3) per
+    ``ae_x`` is the autoencoder's input (``x_filtered`` itself or raw
+    attributes of its shape) and ``encoder``, ``decoder`` the pair that
+    ``pretrain_autoencoder`` fitted on it; both are trained in place.
+    Steps: (1) initialize centroids by k-means on the embeddings; (2) per
     iteration snapshot the encoder, refresh the soft assignment and target
-    every ``update_p`` iterations; (4) per shuffled mini-batch blend the
+    every ``update_p`` iterations; (3) per shuffled mini-batch blend the
     snapshot activations into the DNN hidden layers and take one AdamW step
-    per model on the combined loss; (5) finalize with a full-graph evaluation
-    pass and a hard argmax assignment.
+    per model on the combined loss; (4) finalize with a full-graph
+    evaluation pass and a hard argmax assignment.
 
     Deterministic for a given (inputs, config) pair, and bit-identical
-    whether or not steps (2)-(5) use a helper thread (``_helper_pays``).
-    The final embeddings are consumed batch by batch and never held as an
+    whether or not it uses a helper thread (``_helper_pays``). The final
+    embeddings are consumed batch by batch and never held as an
     N x embedding matrix.
     """
     x_filtered = as_features(x_filtered)
     if n_clusters < 2:
         raise ValueError("n_clusters must be >= 2")
-    if cfg.ae_input == "raw":
-        if x_raw is None:
-            raise ValueError("ae_input='raw' requires raw features")
-        ae_x = as_features(x_raw)
-        if ae_x.shape != x_filtered.shape:
-            raise ValueError("raw and filtered features must have identical shape")
-    else:
-        ae_x = x_filtered
-
+    ae_x = x_filtered if ae_x is x_filtered else as_features(ae_x)
+    if ae_x.shape != x_filtered.shape:
+        raise ValueError("autoencoder and filtered features must have identical shape")
     n, d = ae_x.shape
     enc_dims = (d, *cfg.architecture)
-    if encoder is None or decoder is None:
-        encoder, decoder = pretrain_autoencoder(ae_x, cfg)
-    elif encoder.layer_dims != enc_dims:
+    if encoder.layer_dims != enc_dims:
         raise ValueError(f"pretrained encoder dims {encoder.layer_dims} != {enc_dims}")
 
     rng = np.random.default_rng([cfg.seed, 2])

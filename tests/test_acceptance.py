@@ -25,7 +25,7 @@ from rwsl.nn import init_mlp, kl_divergence, mlp_backward, mlp_forward, mse_loss
 from rwsl.pipeline import (bench_scalability, resolve_run_config, run_pipeline,
                            sweep_epsilon)
 from rwsl.spectral import verify_claim1, verify_claim2
-from rwsl.training import TrainConfig, train_rwsl
+from rwsl.training import TrainConfig, pretrain_autoencoder, train_rwsl
 
 from test_filters import walk_budget
 from test_nn import finite_diff_param_grads, max_rel_err
@@ -275,7 +275,8 @@ def test_criterion_09_cora_reproduction_band():
                               batch_size=256, beta=0.01, gamma=0.1, v=1.0,
                               update_p=1, dropout_rate=0.01, weight_decay=0.01,
                               seed=seed)
-            result = train_rwsl(x_filtered, x_raw, 7, cfg)
+            encoder, decoder = pretrain_autoencoder(x_filtered, cfg)
+            result = train_rwsl(x_filtered, x_filtered, 7, cfg, encoder, decoder)
             report = evaluate_all(g, result.assignments, labels)
             accs.append(report.accuracy)
             nmis.append(report.nmi)

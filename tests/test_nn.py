@@ -73,18 +73,21 @@ class TestForward:
         model = init_mlp((3, 8, 2), np.random.default_rng(0))
         x = np.random.default_rng(1).standard_normal((6, 3))
         base, _, _ = mlp_forward(model, x)
-        out, _, cache = mlp_forward(model, x, dropout=0.5, training=False)
+        # a rate without masks is inference: no dropout
+        out, _, cache = mlp_forward(model, x, dropout=0.5)
         assert np.array_equal(out, base)
         assert all(m is None for m in cache.masks)
 
     def test_dropout_mask_replay(self):
         model = init_mlp((3, 8, 2), np.random.default_rng(0))
         x = np.random.default_rng(1).standard_normal((6, 3))
-        out1, _, cache = mlp_forward(model, x, dropout=0.4, training=True,
-                                     rng=np.random.default_rng(5))
-        out2, _, _ = mlp_forward(model, x, dropout=0.4, training=True,
-                                 masks=cache.masks)
+        masks = [np.random.default_rng(5).random((6, 8)) >= 0.4]
+        out1, _, cache = mlp_forward(model, x, dropout=0.4, masks=masks)
+        out2, _, _ = mlp_forward(model, x, dropout=0.4, masks=cache.masks)
         assert np.array_equal(out1, out2)
+        h = np.maximum(x @ model.weights[0] + model.biases[0], 0.0)
+        want = (h * masks[0] / 0.6) @ model.weights[1] + model.biases[1]
+        assert np.allclose(out1, want, rtol=1e-12, atol=1e-12)
 
     def test_mixing_blend(self):
         model = init_mlp((3, 4, 2), np.random.default_rng(0))
@@ -144,17 +147,13 @@ class TestBackward:
         x = rng.standard_normal((4, 3))
         target = rng.standard_normal((4, 2))
         mix = [rng.standard_normal((4, 5)), rng.standard_normal((4, 4))]
-        _, _, cache0 = mlp_forward(model, x, dropout=0.3, training=True, rng=rng,
-                                   mix=mix, mix_eps=0.4)
-        masks = cache0.masks
+        masks = [rng.random((4, 5)) >= 0.3, rng.random((4, 4)) >= 0.3]
 
         def loss_fn():
-            out, _, _ = mlp_forward(model, x, dropout=0.3, training=True,
-                                    masks=masks, mix=mix, mix_eps=0.4)
+            out, _, _ = mlp_forward(model, x, dropout=0.3, masks=masks, mix=mix, mix_eps=0.4)
             return mse_loss(target, out)[0]
 
-        out, _, cache = mlp_forward(model, x, dropout=0.3, training=True,
-                                    masks=masks, mix=mix, mix_eps=0.4)
+        out, _, cache = mlp_forward(model, x, dropout=0.3, masks=masks, mix=mix, mix_eps=0.4)
         _, d_out = mse_loss(target, out)
         g = mlp_backward(model, cache, d_out)
         numeric = finite_diff_param_grads(loss_fn, model.parameters())
@@ -389,8 +388,11 @@ class TestAgainstReference:
         eps = mix_eps if use_mix else 0.0
         masks = ([rng.random((rows, w)) >= 0.5 for w in widths[1:-1]] if replay else None)
         training = dropout > 0.0
-        out, hidden, cache = mlp_forward(model, x, dropout, training,
-                                         np.random.default_rng(seed + 1), masks, mix, eps)
+        # without recorded masks the oracle draws its own inline, layer by layer
+        draw = np.random.default_rng(seed + 1)
+        drawn = masks or [draw.random((rows, w)) >= dropout for w in widths[1:-1]]
+        out, hidden, cache = mlp_forward(model, x, dropout, drawn if training else None,
+                                         mix, eps)
         r_out, r_hidden, r_cache = ref_forward(model, x, dropout, training,
                                                np.random.default_rng(seed + 1), masks, mix, eps)
         assert_same_bits([out], [r_out])
@@ -484,16 +486,20 @@ class TestInPlaceSafety:
     def test_forward_leaves_inputs(self):
         rng, model, x, mix = self._setup()
         x0, mix0 = x.copy(), [m.copy() for m in mix]
+        masks = [rng.random((7, 6)) >= 0.4, rng.random((7, 5)) >= 0.4]
+        masks0 = [m.copy() for m in masks]
         for kwargs in (dict(), dict(mix=mix, mix_eps=0.3),
-                       dict(dropout=0.4, training=True, rng=rng),
-                       dict(dropout=0.4, training=True, rng=rng, mix=mix, mix_eps=0.3)):
+                       dict(dropout=0.4, masks=masks),
+                       dict(dropout=0.4, masks=masks, mix=mix, mix_eps=0.3)):
             mlp_forward(model, x, **kwargs)
             assert_same_bits([x], [x0])
             assert_same_bits(mix, mix0)
+            assert all(np.array_equal(m, m0) for m, m0 in zip(masks, masks0))
 
     def test_backward_leaves_gradient_and_cache(self):
         rng, model, x, mix = self._setup()
-        out, _, cache = mlp_forward(model, x, 0.4, True, rng, mix=mix, mix_eps=0.3)
+        masks = [rng.random((7, 6)) >= 0.4, rng.random((7, 5)) >= 0.4]
+        out, _, cache = mlp_forward(model, x, 0.4, masks, mix, 0.3)
         snapshot = ([a.copy() for a in cache.inputs], [h.copy() for h in cache.hidden],
                     [m.copy() for m in cache.masks])
         d_out = rng.standard_normal(out.shape)
@@ -506,10 +512,12 @@ class TestInPlaceSafety:
 
     def test_hidden_not_changed_by_later_calls(self):
         rng, model, x, mix = self._setup()
-        out, hidden, cache = mlp_forward(model, x, 0.4, True, rng, mix=mix, mix_eps=0.3)
+        masks = [rng.random((7, 6)) >= 0.4, rng.random((7, 5)) >= 0.4]
+        out, hidden, cache = mlp_forward(model, x, 0.4, masks, mix, 0.3)
         hidden0 = [h.copy() for h in hidden]
         mlp_backward(model, cache, np.ones_like(out))
-        out2, _, cache2 = mlp_forward(model, x, 0.4, True, rng, mix=hidden, mix_eps=0.5)
+        masks2 = [rng.random((7, 6)) >= 0.4, rng.random((7, 5)) >= 0.4]
+        out2, _, cache2 = mlp_forward(model, x, 0.4, masks2, hidden, 0.5)
         mlp_backward(model, cache2, np.ones_like(out2))
         assert_same_bits(hidden, hidden0)
 

@@ -462,6 +462,11 @@ class TestBench:
         assert cli_main(["bench", "--sizes", "5", "--epochs", "1", "--repeats", "1",
                          "--out", str(tmp_path / "b5")]) == 9
         assert "stage 'bench' failed: size 5 is below k=8" in capsys.readouterr().err
+        assert not (tmp_path / "b5").exists()
+        # valid options and an --out that names a file: a write error, still no graph
+        (tmp_path / "taken").write_text("")
+        assert cli_main(["bench", "--sizes", "300", "--epochs", "1", "--repeats", "1",
+                         "--out", str(tmp_path / "taken")]) == 8
 
     def test_oom_yields_failure_row_and_continues(self, monkeypatch):
         import rwsl.pipeline as pl
@@ -720,11 +725,13 @@ class TestCli:
     def test_bench_stage_exit_code(self, tmp_path, capsys):
         assert cli_main(["bench", "--sizes", "300,200", "--out", str(tmp_path / "b")]) == 9
         assert "stage 'bench' failed: sizes must be strictly ascending" in capsys.readouterr().err
+        assert not (tmp_path / "b").exists()
 
     def test_bench_zero_repeats_exit_bench(self, tmp_path, capsys):
         assert cli_main(["bench", "--sizes", "200", "--repeats", "0",
                          "--out", str(tmp_path / "b")]) == 9
         assert "stage 'bench' failed: repeats must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "b").exists()
 
     @pytest.mark.parametrize("command", ["pipeline", "train", "filter", "pretrain", "eval",
                                          "bench", "sweep-epsilon", "spectral"])

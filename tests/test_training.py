@@ -33,6 +33,17 @@ def clique_inputs(two_cliques):
     return filter_exact(augment_self_loops(g), x, FilterConfig()), x
 
 
+def cotrain(x_filtered, ae_x, n_clusters, cfg):
+    """train_rwsl on the pair pretrain_autoencoder fits on ``ae_x``."""
+    return train_rwsl(x_filtered, ae_x, n_clusters, cfg, *pretrain_autoencoder(ae_x, cfg))
+
+
+def inline_masks(model, rows, p, rng):
+    """Keep-masks drawn as a forward that held ``rng`` drew them: one
+    ``rng.random`` per hidden layer, in layer order; None without dropout."""
+    return [rng.random((rows, w)) >= p for w in model.layer_dims[1:-1]] if p else None
+
+
 def reconstruction_loss(encoder, decoder, x):
     z, _, _ = mlp_forward(encoder, x)
     xr, _, _ = mlp_forward(decoder, z)
@@ -78,6 +89,29 @@ class TestPretrain:
         assert (reconstruction_loss(enc, dec, x)
                 < reconstruction_loss(init_enc, init_dec, x))
 
+    def test_dropout_matches_inline_oracle(self, monkeypatch):
+        # each step's encoder masks, then its decoder masks, in the order the
+        # forwards drew them inline
+        def inline_step(encoder, decoder, opts, xb, cfg, rng):
+            p = cfg.dropout_rate
+            z, _, ecache = mlp_forward(encoder, xb, p, inline_masks(encoder, len(xb), p, rng))
+            xr, _, dcache = mlp_forward(decoder, z, p, inline_masks(decoder, len(xb), p, rng))
+            _, d_xr = mse_loss(xb, xr)
+            lr, wd = cfg.pretrain_lr, cfg.weight_decay
+            d_z = training._backward_update(decoder, dcache, d_xr, opts[1], lr, wd)
+            training._backward_update(encoder, ecache, d_z, opts[0], lr, wd)
+
+        x = np.random.default_rng(3).random((20, 6))
+        cfg = replace(FAST, architecture=(16, 8, 3), dropout_rate=0.3, pretrain_n_epochs=2)
+        got = pretrain_autoencoder(x, cfg)
+        monkeypatch.setattr(training, "_pretrain_step", inline_step)
+        want = pretrain_autoencoder(x, cfg)
+        for a, b in zip(got, want):
+            assert all(np.array_equal(u, w) for u, w in zip(a.parameters(), b.parameters()))
+        # the masks take part: without dropout the weights differ
+        undropped = pretrain_autoencoder(x, replace(cfg, dropout_rate=0.0))
+        assert not np.array_equal(got[0].weights[0], undropped[0].weights[0])
+
     def test_divergence_raises(self):
         # lr * weight_decay > 2 makes the decoupled decay factor explosive
         x = np.random.default_rng(2).random((10, 4)) * 100
@@ -92,21 +126,21 @@ class TestTrainRwsl:
     def test_loss_composition(self, clique_inputs):
         xf, x = clique_inputs
         cfg = replace(FAST, beta=0.37, gamma=0.91, batch_size=10)
-        res = train_rwsl(xf, x, 2, cfg)
+        res = cotrain(xf, xf, 2, cfg)
         h = res.loss_history
         recomposed = h[:, 1] + 0.37 * h[:, 2] + 0.91 * h[:, 3]
         assert np.max(np.abs(recomposed - h[:, 4])) < 1e-12
 
     def test_deterministic_history(self, clique_inputs):
         xf, x = clique_inputs
-        r1 = train_rwsl(xf, x, 2, FAST)
-        r2 = train_rwsl(xf, x, 2, FAST)
+        r1 = cotrain(xf, xf, 2, FAST)
+        r2 = cotrain(xf, xf, 2, FAST)
         assert np.array_equal(r1.loss_history, r2.loss_history)
         assert np.array_equal(r1.assignments, r2.assignments)
 
     def test_distributions_are_row_stochastic(self, clique_inputs):
         xf, x = clique_inputs
-        res = train_rwsl(xf, x, 2, FAST)
+        res = cotrain(xf, xf, 2, FAST)
         for mat in (res.p_h, res.p_z):
             assert np.allclose(mat.sum(axis=1), 1.0, atol=1e-9)
         assert np.array_equal(res.assignments, np.argmax(res.p_h, axis=1))
@@ -114,35 +148,35 @@ class TestTrainRwsl:
     @pytest.mark.parametrize("eps", [0.0, 1.0])
     def test_blend_boundaries_complete(self, clique_inputs, eps):
         xf, x = clique_inputs
-        res = train_rwsl(xf, x, 2, replace(FAST, epsilon=eps))
+        res = cotrain(xf, xf, 2, replace(FAST, epsilon=eps))
         assert np.allclose(res.p_h.sum(axis=1), 1.0, atol=1e-9)
         assert np.isfinite(res.loss_history).all()
 
     def test_raw_input_variant_differs(self, clique_inputs):
         xf, x = clique_inputs
-        res_f = train_rwsl(xf, x, 2, FAST)
-        res_r = train_rwsl(xf, x, 2, replace(FAST, ae_input="raw"))
+        res_f = cotrain(xf, xf, 2, FAST)
+        res_r = cotrain(xf, x, 2, FAST)
         assert not np.array_equal(res_f.loss_history, res_r.loss_history)
 
-    def test_raw_input_requires_raw(self, clique_inputs):
-        xf, _ = clique_inputs
-        with pytest.raises(ValueError):
-            train_rwsl(xf, None, 2, replace(FAST, ae_input="raw"))
+    def test_ae_input_shape_checked(self, clique_inputs):
+        xf, x = clique_inputs
+        with pytest.raises(ValueError, match="identical shape"):
+            cotrain(xf, x[:, :1], 2, FAST)
 
     def test_update_period_cadence(self, clique_inputs):
         xf, x = clique_inputs
-        res = train_rwsl(xf, x, 2, replace(FAST, update_p=7))
+        res = cotrain(xf, xf, 2, replace(FAST, update_p=7))
         assert np.isfinite(res.loss_history).all()
 
     def test_kmeans_sample_cap(self, clique_inputs):
         xf, x = clique_inputs
-        res = train_rwsl(xf, x, 2, replace(FAST, kmeans_sample_cap=6))
+        res = cotrain(xf, xf, 2, replace(FAST, kmeans_sample_cap=6))
         assert np.allclose(res.p_h.sum(axis=1), 1.0, atol=1e-9)
 
     def test_k_validation(self, clique_inputs):
         xf, x = clique_inputs
         with pytest.raises(ValueError):
-            train_rwsl(xf, x, 1, FAST)
+            cotrain(xf, xf, 1, FAST)
 
     def test_cotrain_divergence_raises(self, clique_inputs):
         xf, x = clique_inputs
@@ -150,20 +184,24 @@ class TestTrainRwsl:
                       n_epochs=300, batch_size=10)
         with np.errstate(all="ignore"):
             with pytest.raises(DivergenceError):
-                train_rwsl(xf, x, 2, cfg)
+                cotrain(xf, xf, 2, cfg)
 
-    def test_pretrained_injection_matches_internal(self, clique_inputs):
-        xf, x = clique_inputs
+    def test_passed_pair_trained_in_place(self, clique_inputs):
+        xf, _ = clique_inputs
         enc, dec = pretrain_autoencoder(xf, FAST)
-        res_inj = train_rwsl(xf, x, 2, FAST, encoder=enc, decoder=dec)
-        res_int = train_rwsl(xf, x, 2, FAST)
-        assert np.array_equal(res_inj.loss_history, res_int.loss_history)
+        enc0 = enc.copy()
+        res = train_rwsl(xf, xf, 2, FAST, enc, dec)
+        assert res.encoder is enc and res.decoder is dec
+        assert not np.array_equal(enc.weights[0], enc0.weights[0])
+        narrow = pretrain_autoencoder(xf, replace(FAST, architecture=(8, 4)))
+        with pytest.raises(ValueError, match="pretrained encoder dims"):
+            train_rwsl(xf, xf, 2, FAST, *narrow)
 
 
 class TestCheckpoint:
     def test_round_trip(self, clique_inputs, tmp_path):
         xf, x = clique_inputs
-        res = train_rwsl(xf, x, 2, FAST)
+        res = cotrain(xf, xf, 2, FAST)
         save_checkpoint(tmp_path / "ck.npz",
                         {"encoder": res.encoder, "decoder": res.decoder, "dnn": res.dnn},
                         {"k": 2}, {"centroids": res.centroids})
@@ -227,7 +265,7 @@ class TestPassCount:
             return forward(*args, **kwargs)
 
         monkeypatch.setattr(training, "mlp_forward", counting_forward)
-        train_rwsl(xf, x, 2, cfg, encoder=enc, decoder=dec)
+        train_rwsl(xf, xf, 2, cfg, enc, dec)
 
         n = len(xf)
         batches = -(-n // cfg.batch_size)
@@ -275,16 +313,16 @@ BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "MKL_NUM_THREADS",
 
 
 def serial_step(models, opts, snapshot, centroids, xa_b, xf_b, t_b, cfg, rng):
-    """Oracle: the co-train step on one thread, each forward drawing its own
-    dropout masks, the models updated decoder, encoder, then DNN."""
+    """Oracle: the co-train step on one thread, each forward's dropout masks
+    drawn inline just before it, the models updated decoder, encoder, then DNN."""
     encoder, decoder, dnn = models
-    p = cfg.dropout_rate
+    p, rows = cfg.dropout_rate, len(xa_b)
     _, mix_hidden, _ = mlp_forward(snapshot, xa_b)
-    z, _, ecache = mlp_forward(encoder, xa_b, p, True, rng)
-    xr, _, dcache = mlp_forward(decoder, z, p, True, rng)
+    z, _, ecache = mlp_forward(encoder, xa_b, p, inline_masks(encoder, rows, p, rng))
+    xr, _, dcache = mlp_forward(decoder, z, p, inline_masks(decoder, rows, p, rng))
     l_mse, d_xr = mse_loss(xa_b, xr)
-    logits, _, hcache = mlp_forward(dnn, xf_b, p, True, rng, mix=mix_hidden,
-                                    mix_eps=cfg.epsilon)
+    logits, _, hcache = mlp_forward(dnn, xf_b, p, inline_masks(dnn, rows, p, rng),
+                                    mix_hidden, cfg.epsilon)
     q_z = soft_assign(z, centroids, cfg.v)
     l_z, _ = kl_divergence(t_b, q_z)
     d_z_kl = soft_assign_kl_grad(t_b, q_z, z, centroids, cfg.v)
@@ -324,7 +362,7 @@ class TestHelperThread:
         with monkeypatch.context() as m:
             m.setattr(training, "AdamWState", SimpleNamespace(for_params=for_params))
             m.setattr(np.random, "default_rng", recording_rng)
-            res = train_rwsl(x, None, self.K, cfg)
+            res = cotrain(x, x, self.K, cfg)
         return res, states, rngs
 
     @pytest.mark.parametrize("cap", [0, 40])
@@ -398,7 +436,7 @@ class TestHelperThread:
         before = set(threading.enumerate())
         with np.errstate(all="ignore"):
             with pytest.raises(DivergenceError):
-                train_rwsl(xf, x, 2, cfg)
+                cotrain(xf, xf, 2, cfg)
         assert set(threading.enumerate()) == before
         assert any(name.startswith("rwsl-cotrain") for name in forward_threads)
 
@@ -420,7 +458,7 @@ class TestHelperThread:
             x = np.random.default_rng(0).standard_normal((self.N, 64))
             cfg = replace(cfg, architecture=(64, 16), batch_size=256)
         monkeypatch.setattr(training, "ThreadPoolExecutor", no_executor)
-        train_rwsl(x, None, self.K, cfg)
+        cotrain(x, x, self.K, cfg)
         assert set(forward_threads) == {threading.current_thread().name}
 
     @pytest.mark.skipif("openblas" not in BLAS_NAME.lower(), reason="numpy without OpenBLAS")
@@ -472,7 +510,7 @@ class TestMemory:
                           pretrain_n_epochs=0)
         enc, dec = pretrain_autoencoder(x, cfg)
         dnn = init_mlp((self.D, *self.ARCH[:-1], self.K), np.random.default_rng(0))
-        peak = traced_peak(train_rwsl, x, None, self.K, cfg, encoder=enc, decoder=dec)
+        peak = traced_peak(train_rwsl, x, x, self.K, cfg, enc, dec)
         # parameters 1 + snapshot 0.33 + moments 2 + one model's gradients
         # reads 3.4x inline, 3.7x with the DNN's update on the helper; all
         # three models' gradients plus the last step's, 5.1x
