@@ -220,20 +220,22 @@ def filter_features(g_aug: CsrGraph, x_raw: np.ndarray, cfg: FilterConfig, *,
     rewrites it (logging why a stale or unreadable cache was rejected).
 
     ``share`` is a dict that the runs of one sweep pass here, all with the
-    same graph and features. It holds the last exact result, read-only, with
-    its cache header. A call with the same ``cfg`` writes both to its own
-    ``cache_path`` instead of filtering again; any other exact call
-    empties it first, so it never holds more than one matrix.
+    same graph and features. Its ``"filter"`` entry holds the last exact
+    result, read-only, with its options and cache header. A call with the
+    same ``cfg`` writes both to its own ``cache_path`` instead of filtering
+    again; any other exact call drops only that entry first, so the share
+    never holds more than one filtered matrix.
     """
     if cfg.filter_method == "randomwalk":
         return filter_randomwalk(g_aug, x_raw, cfg, seed)
     if cache_path is None:
         return filter_exact(g_aug, x_raw, cfg)
     if share is not None:
-        if share.get("cfg") == cfg:
-            save_filtered_cache(cache_path, share["values"], share["header"])
-            return share["values"]
-        share.clear()
+        if share.get("filter", (None,))[0] == cfg:
+            _, xf, header = share["filter"]
+            save_filtered_cache(cache_path, xf, header)
+            return xf
+        share.pop("filter", None)
     header = filtered_cache_header(g_aug, cfg, x_raw)
     xf = None
     if cache_path.exists():
@@ -248,7 +250,7 @@ def filter_features(g_aug: CsrGraph, x_raw: np.ndarray, cfg: FilterConfig, *,
         save_filtered_cache(cache_path, xf, header)
     if share is not None:
         xf.flags.writeable = False
-        share.update(cfg=cfg, values=xf, header=header)
+        share["filter"] = (cfg, xf, header)
     return xf
 
 
@@ -269,11 +271,14 @@ def run_pipeline(cfg: RunConfig, *, filtered=None, ae_checkpoint=None,
     under ``inputs``.
 
     ``_data`` is how a sweep passes its sub-runs what they share:
-    ``(graph, raw features, labels, share)``, loaded once, where ``share`` is
-    the sweep's filter share (see ``filter_features``). Sub-runs whose exact
-    filter options are equal then filter once per sweep; each still writes
-    and lists its own ``filtered.npz``, and trains on the shared read-only
-    matrix.
+    ``(graph, raw features, labels, share)``, loaded once. ``share`` holds
+    the sweep's filter entry (see ``filter_features``), its sub-run configs
+    (``"runs"``) and the results one sub-run co-trains for another. Sub-runs
+    whose exact filter options are equal filter once per sweep; each writes
+    its own ``filtered.npz``. Per seed, the first sub-run co-trains, in one
+    ``train_rwsl`` call, itself and every sub-run that differs from it only
+    in ``out`` and ``epsilon``; those pretrain, co-train and random-walk
+    filter nothing, and their ``PipelineOutcome.result`` has no ``p_z``/``p_h``.
 
     The run drops its reference to the raw features once nothing after the
     filter stage reads them (``ae_input = "filtered"``, and a filter that is
@@ -317,24 +322,38 @@ def run_pipeline(cfg: RunConfig, *, filtered=None, ae_checkpoint=None,
     refilter = filtered is None and not exact
     keep_raw = refilter or cfg.train.ae_input == "raw"
 
+    # this run, then the sweep's sub-runs that differ from it only in out and epsilon
+    eps = cfg.train.epsilon
+    group = [cfg, *(sub for sub in (share or {}).get("runs", ()) if sub.out != cfg.out
+                    and replace(sub, out=cfg.out, train=replace(sub.train, epsilon=eps)) == cfg)]
+
     reports = []
     first = None
     for seed in seeds:
-        if x_filtered is None or refilter:
+        result = None if share is None else share.pop((cfg.out, seed), None)
+        if (x_filtered is None or refilter) and (result is None or exact):
             x_filtered = run_stage("filter", filter_features, g_aug, x_raw, cfg.filter,
                                    seed=seed, cache_path=cache_path, share=share)
         if not keep_raw:
             x_raw = None
         if not refilter:
             g_aug = None
-        train_cfg = replace(cfg.train, seed=seed)
-        ae_x = x_filtered if train_cfg.ae_input == "filtered" else x_raw
-        if autoencoder is None:
-            encoder, decoder = run_stage("pretrain", pretrain_autoencoder, ae_x, train_cfg)
-        else:
-            encoder, decoder = (model.copy() for model in autoencoder)
-        result = run_stage("train", train_rwsl, x_filtered, ae_x, cfg.k, train_cfg,
-                           encoder, decoder)
+        if result is None:
+            train_cfg = replace(cfg.train, seed=seed)
+            ae_x = x_filtered if train_cfg.ae_input == "filtered" else x_raw
+            if autoencoder is None:
+                encoder, decoder = run_stage("pretrain", pretrain_autoencoder, ae_x, train_cfg)
+            else:
+                encoder, decoder = (model.copy() for model in autoencoder)
+            result, *others = run_stage("train", train_rwsl, x_filtered, ae_x, cfg.k, train_cfg,
+                                        encoder, decoder,
+                                        epsilons=[sub.train.epsilon for sub in group])
+            # kept for a later sub-run: what it writes
+            later = {} if seed == seeds[0] else dict.fromkeys(
+                ("loss_history", "centroids", "encoder", "decoder", "dnn"))
+            for sub, other in zip(group[1:], others):
+                share[sub.out, seed] = replace(other, p_z=None, p_h=None, **later)
+            del others
         if labels is not None:
             reports.append(run_stage("eval", evaluate_all, g_plain, result.assignments,
                                      labels))
@@ -405,7 +424,7 @@ def _sweep(cfg: RunConfig, parameter: str, values, make_cfg) -> SweepResult:
     g_plain = run_stage("load", load_edge_list, cfg.edges, cfg.n_nodes)
     x_raw = run_stage("load", load_features, cfg.features)
     labels = run_stage("load", load_labels, cfg.labels)
-    share = {}
+    share = {"runs": subs}
     # keep only the summaries: an outcome also holds that run's models
     summaries = [run_pipeline(sub, _data=(g_plain, x_raw, labels, share)).summary
                  for sub in subs]
@@ -419,10 +438,11 @@ def _sweep(cfg: RunConfig, parameter: str, values, make_cfg) -> SweepResult:
 def sweep_epsilon(cfg: RunConfig, values) -> SweepResult:
     """One pipeline per blend weight; emits sweep_epsilon.csv.
 
-    The filter does not depend on epsilon, so an exact-filter sweep filters
-    once: every sub-run trains on that one read-only matrix and writes it to
-    its own ``filtered.npz``. A random-walk sweep still filters per sub-run
-    and seed.
+    Only the co-train DNN reads epsilon, so the sweep filters once (a
+    random-walk sweep once per seed) and, in its first sub-run, co-trains
+    one autoencoder per seed with one DNN per value; the later sub-runs
+    write what it left them, the bytes a run of its own writes. A value
+    whose DNN diverges fails the first sub-run's train stage.
     """
     return _sweep(cfg, "epsilon", values,
                   lambda c, v: replace(c, train=replace(c.train, epsilon=v)))
@@ -472,11 +492,12 @@ def bench_scalability(sizes, edge_factor: float, feat_dim: int, epochs: int,
     """Time filter and 5-epoch-style co-training across synthetic graph sizes.
 
     Per size: generate a random graph (edge count ~ edge_factor * n) and a
-    uniform feature matrix, then time the filter and training stages over
-    ``repeats`` repetitions (medians reported). Graph/feature generation and
-    IO are excluded from the timings. Training-stage peak memory is tracked
-    via tracemalloc. MemoryError yields a failure row and the remaining
-    sizes continue.
+    uniform feature matrix, time ``repeats`` filter runs, release the graph
+    and features, then time ``repeats`` co-trains on the filtered features
+    (medians reported; ``total_s`` pairs the i-th filter with the i-th
+    co-train). Graph/feature generation and IO are excluded from the
+    timings. Training-stage peak memory is tracked via tracemalloc.
+    MemoryError yields a failure row and the remaining sizes continue.
 
     ``sizes`` must be ascending, none below ``k``. Runs are capped at the
     desk-scale ceiling of 100k nodes by default; pass a larger ``max_nodes`` to opt in.
@@ -489,33 +510,33 @@ def bench_scalability(sizes, edge_factor: float, feat_dim: int, epochs: int,
         try:
             g = augment_self_loops(rmat_generate(n, edge_factor, seed))
             x = np.random.default_rng(seed).random((n, feat_dim))
-            filter_times, train_times, totals, peaks = [], [], [], []
+            filter_times, train_times, peaks = [], [], []
             for _ in range(repeats):
+                xf = None       # one filtered matrix at a time
                 t0 = time.perf_counter()
                 xf = filter_exact(g, x, filter_cfg)
-                filter_s = time.perf_counter() - t0
-
+                filter_times.append(time.perf_counter() - t0)
+            # the filter is deterministic: every co-train reads the last
+            # output, and the graph is not held through them
+            del g, x
+            for _ in range(repeats):
                 started_here = not tracemalloc.is_tracing()
                 if started_here:
                     tracemalloc.start()
                 tracemalloc.reset_peak()
                 t0 = time.perf_counter()
                 train_rwsl(xf, xf, k, train_cfg, *pretrain_autoencoder(xf, train_cfg))
-                train_s = time.perf_counter() - t0
+                train_times.append(time.perf_counter() - t0)
                 _, peak = tracemalloc.get_traced_memory()
                 if started_here:
                     tracemalloc.stop()
-
-                filter_times.append(filter_s)
-                train_times.append(train_s)
-                totals.append(filter_s + train_s)
                 peaks.append(peak / 1e6)
-                del xf
+            del xf
             rows.append({
                 "n_nodes": n,
                 "filter_s": float(np.median(filter_times)),
                 "train_s": float(np.median(train_times)),
-                "total_s": float(np.median(totals)),
+                "total_s": float(np.median(np.add(filter_times, train_times))),
                 "train_peak_mb": float(np.median(peaks)),
                 "status": "ok",
             })

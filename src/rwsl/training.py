@@ -11,7 +11,9 @@ updates encoder, decoder and DNN on
 where the DNN's hidden layers blend in the snapshot encoder activations
 with weight ``epsilon``. Snapshot activations are recomputed per batch
 from the frozen iteration-start parameters, so memory stays batch-bounded
-while every batch in an iteration sees the same blend values.
+while every batch in an iteration sees the same blend values. One
+autoencoder can co-train one DNN per blend weight: the DNNs share a step's
+masks and snapshot pass, and nothing else reads them.
 
 Each mini-batch runs in its own step function, so nothing of one step is
 alive during the next. Every model has its own AdamW state and is updated
@@ -23,16 +25,16 @@ for the next step (``_retain_freed_heap``). A step draws all its dropout
 masks before its forward passes.
 
 Within a step the autoencoder branch (encoder, decoder) and the DNN branch
-(snapshot, DNN) are independent until the losses and again after them.
-When a second CPU would otherwise sit idle (``_helper_pays``), one helper
-thread runs the DNN branch's forward and its backward and update while the
-calling thread runs the autoencoder's; the k-means-init forward, the target
-refresh and the final evaluation send every other batch to it. The calling
-thread draws every dropout mask in the serial order, each matmul keeps its
-operands and every batch writes its own rows, so all values are
-bit-identical to a serial run. A step then holds the parameters, the
+(snapshot, every DNN) are independent until the losses and again after
+them. When a second CPU would otherwise sit idle (``_helper_pays``), one
+helper thread runs the DNN branch's forwards and its backwards and updates
+while the calling thread runs the autoencoder's; the k-means-init forward,
+the target refresh and the final evaluation send every other batch to it.
+The calling thread draws every dropout mask in the serial order, each
+matmul keeps its operands and every batch writes its own rows, so all
+values are bit-identical to a serial run. A step then holds the parameters, the
 frozen snapshot, the AdamW moments, at most two models' gradients (one per
-thread) and one batch's activations.
+thread) and one batch's activations per model.
 """
 
 from __future__ import annotations
@@ -297,52 +299,61 @@ def _pretrain_step(encoder: MlpModel, decoder: MlpModel, opts: list,
 
 def _cotrain_step(models: tuple, opts: list, snapshot: MlpModel,
                   centroids: np.ndarray, xa_b: np.ndarray, xf_b: np.ndarray,
-                  t_b: np.ndarray, cfg: TrainConfig, rng: np.random.Generator,
-                  helper) -> tuple:
-    """One co-train mini-batch; returns (mse, kl_dnn, kl_enc, total).
+                  t_b: np.ndarray, epsilons: tuple, cfg: TrainConfig,
+                  rng: np.random.Generator, helper) -> list:
+    """One co-train mini-batch of the autoencoder and one DNN per blend
+    weight (``models``: encoder, decoder, then the DNNs in ``epsilons``
+    order); returns (mse, kl_dnn, kl_enc, total) per DNN.
 
     The DNN branch runs on ``helper``, the autoencoder on the calling
     thread, which alone draws from ``rng`` (encoder, decoder, then DNN
-    masks, the order of a serial step)."""
-    encoder, decoder, dnn = models
-    beta, gamma, eps, v, p = cfg.beta, cfg.gamma, cfg.epsilon, cfg.v, cfg.dropout_rate
-    enc_masks, dec_masks, dnn_masks = (_dropout_masks(m, len(xa_b), p, rng) for m in models)
+    masks, the order of a serial step; every DNN reads the same masks)."""
+    encoder, decoder, *dnns = models
+    beta, gamma, v, p = cfg.beta, cfg.gamma, cfg.v, cfg.dropout_rate
+    enc_masks, dec_masks, dnn_masks = (_dropout_masks(m, len(xa_b), p, rng) for m in models[:3])
 
     def dnn_forward():
         # frozen iteration-start activations for blending
         _, mix_hidden, _ = mlp_forward(snapshot, xa_b)
-        logits, _, hcache = mlp_forward(dnn, xf_b, p, dnn_masks, mix_hidden, eps)
-        return logits, hcache
+        passes = [mlp_forward(dnn, xf_b, p, dnn_masks, mix_hidden, eps)
+                  for dnn, eps in zip(dnns, epsilons)]
+        return [logits for logits, _, _ in passes], [cache for _, _, cache in passes]
 
     dnn_pass = helper.submit(dnn_forward)
     z, _, ecache = mlp_forward(encoder, xa_b, p, enc_masks)
     xr, _, dcache = mlp_forward(decoder, z, p, dec_masks)
     l_mse, d_xr = mse_loss(xa_b, xr)
-    logits, hcache = dnn_pass.result()
+    all_logits, hcaches = dnn_pass.result()
     del dnn_pass
-    if not (np.isfinite(z).all() and np.isfinite(logits).all()):
+    if not (np.isfinite(z).all() and all(np.isfinite(lg).all() for lg in all_logits)):
         raise DivergenceError("co-training diverged; lower learning_rate")
 
     q_z = soft_assign(z, centroids, v)
     l_z, _ = kl_divergence(t_b, q_z)
     d_z_kl = soft_assign_kl_grad(t_b, q_z, z, centroids, v)
 
-    p_h = row_softmax(logits)
-    l_h, d_logits = kl_divergence(t_b, p_h)
-
-    l_tot = l_mse + beta * l_h + gamma * l_z
-    if not np.isfinite(l_tot):
-        raise DivergenceError("co-training diverged; lower learning_rate")
+    losses, d_logits = [], []
+    for logits in all_logits:
+        l_h, d_h = kl_divergence(t_b, row_softmax(logits))
+        l_tot = l_mse + beta * l_h + gamma * l_z
+        if not np.isfinite(l_tot):
+            raise DivergenceError("co-training diverged; lower learning_rate")
+        losses.append((l_mse, l_h, l_z, l_tot))
+        d_logits.append(beta * d_h)
 
     lr, wd = cfg.learning_rate, cfg.weight_decay
-    dnn_update = helper.submit(_backward_update, dnn, hcache, beta * d_logits,
-                               opts[2], lr, wd)
-    del hcache      # freed once the DNN's update is done
+
+    def dnn_updates():
+        # each forward cache is freed once its DNN's update is done
+        for dnn, opt, d in zip(dnns, opts[2:], d_logits):
+            _backward_update(dnn, hcaches.pop(0), d, opt, lr, wd)
+
+    dnn_update = helper.submit(dnn_updates)
     d_z = _backward_update(decoder, dcache, d_xr, opts[1], lr, wd)
     del xr, dcache, d_xr
     _backward_update(encoder, ecache, d_z + gamma * d_z_kl, opts[0], lr, wd)
     dnn_update.result()
-    return l_mse, l_h, l_z, l_tot
+    return losses
 
 
 @dataclass
@@ -361,8 +372,11 @@ class TrainResult:
 
 
 def train_rwsl(x_filtered: np.ndarray, ae_x: np.ndarray, n_clusters: int,
-               cfg: TrainConfig, encoder: MlpModel, decoder: MlpModel) -> TrainResult:
-    """Co-train a pretrained autoencoder with a new cluster DNN.
+               cfg: TrainConfig, encoder: MlpModel, decoder: MlpModel, *,
+               epsilons=None) -> list:
+    """Co-train a pretrained autoencoder with one new cluster DNN per blend
+    weight in ``epsilons`` (default ``(cfg.epsilon,)``); one ``TrainResult``
+    per weight, in order.
 
     ``ae_x`` is the autoencoder's input (``x_filtered`` itself or raw
     attributes of its shape) and ``encoder``, ``decoder`` the pair that
@@ -374,6 +388,10 @@ def train_rwsl(x_filtered: np.ndarray, ae_x: np.ndarray, n_clusters: int,
     per model on the combined loss; (4) finalize with a full-graph
     evaluation pass and a hard argmax assignment.
 
+    The autoencoder, centroids and ``p_z`` are shared by every weight; each
+    weight's result is bit-identical to a call with that weight alone. A
+    DNN that diverges raises ``DivergenceError`` for all of them.
+
     Deterministic for a given (inputs, config) pair, and bit-identical
     whether or not it uses a helper thread (``_helper_pays``). The final
     embeddings are consumed batch by batch and never held as an
@@ -382,6 +400,9 @@ def train_rwsl(x_filtered: np.ndarray, ae_x: np.ndarray, n_clusters: int,
     x_filtered = as_features(x_filtered)
     if n_clusters < 2:
         raise ValueError("n_clusters must be >= 2")
+    epsilons = (cfg.epsilon,) if epsilons is None else tuple(epsilons)
+    if not epsilons or not all(0.0 <= eps <= 1.0 for eps in epsilons):
+        raise ValueError("epsilons must be one or more values in [0, 1]")
     ae_x = x_filtered if ae_x is x_filtered else as_features(ae_x)
     if ae_x.shape != x_filtered.shape:
         raise ValueError("autoencoder and filtered features must have identical shape")
@@ -392,12 +413,14 @@ def train_rwsl(x_filtered: np.ndarray, ae_x: np.ndarray, n_clusters: int,
 
     rng = np.random.default_rng([cfg.seed, 2])
     dnn = init_mlp((d, *cfg.architecture[:-1], n_clusters), rng)
+    # each weight's DNN starts where a run of its own would
+    dnns = [dnn, *(dnn.copy() for _ in epsilons[1:])]
 
-    step_macs = (min(cfg.batch_size, n)
-                 * (3 * _macs_per_row(enc_dims) + _macs_per_row(dnn.layer_dims)))
-    eps, v = cfg.epsilon, cfg.v
+    step_macs = (min(cfg.batch_size, n) * (3 * _macs_per_row(enc_dims)
+                                           + len(dnns) * _macs_per_row(dnn.layer_dims)))
+    v = cfg.v
     dead_events = 0
-    history = np.zeros((cfg.n_epochs, 5))
+    history = np.zeros((len(dnns), cfg.n_epochs, 5))
 
     # the helper thread, joined on every exit; below the gate each call runs inline
     with (ThreadPoolExecutor(1, thread_name_prefix="rwsl-cotrain")
@@ -416,7 +439,7 @@ def train_rwsl(x_filtered: np.ndarray, ae_x: np.ndarray, n_clusters: int,
         del emb
 
         p_z = np.empty((n, n_clusters))     # each refresh's, then the final pass's
-        models = (encoder, decoder, dnn)
+        models = (encoder, decoder, *dnns)
         opts = [AdamWState.for_params(m.parameters()) for m in models]
         _retain_freed_heap()
 
@@ -437,31 +460,26 @@ def train_rwsl(x_filtered: np.ndarray, ae_x: np.ndarray, n_clusters: int,
                 idx = order[lo:hi]
                 batch_losses.append(_cotrain_step(models, opts, snapshot, centroids,
                                                   ae_x[idx], x_filtered[idx], target[idx],
-                                                  cfg, rng, helper))
+                                                  epsilons, cfg, rng, helper))
 
-            mean = np.mean(batch_losses, axis=0)
-            history[it] = (it, *mean)
+            history[:, it, 0] = it
+            history[:, it, 1:] = np.mean(batch_losses, axis=0)    # one row per DNN
 
         def final_batch(lo, hi):
-            # no dropout; the encoder's hidden activations are the DNN's mix
+            # no dropout; the encoder's hidden activations are the DNNs' mix
             z, mix_hidden, _ = mlp_forward(encoder, ae_x[lo:hi])
             p_z[lo:hi] = soft_assign(z, centroids, v)
-            logits, _, _ = mlp_forward(dnn, x_filtered[lo:hi], mix=mix_hidden, mix_eps=eps)
-            p_h[lo:hi] = row_softmax(logits)
+            for net, eps, out in zip(dnns, epsilons, p_h):
+                logits, _, _ = mlp_forward(net, x_filtered[lo:hi], mix=mix_hidden, mix_eps=eps)
+                out[lo:hi] = row_softmax(logits)
 
-        p_h = np.empty((n, n_clusters))
+        p_h = [np.empty((n, n_clusters)) for _ in dnns]
         _each_batch(helper, n, cfg.batch_size, final_batch)
-    return TrainResult(
-        assignments=as_labels(hard_assign(p_h), n_clusters),
-        centroids=centroids,
-        p_z=p_z,
-        p_h=p_h,
-        loss_history=history,
-        dead_cluster_events=dead_events,
-        encoder=encoder,
-        decoder=decoder,
-        dnn=dnn,
-    )
+    return [TrainResult(assignments=as_labels(hard_assign(probs), n_clusters),
+                        centroids=centroids, p_z=p_z, p_h=probs, loss_history=losses,
+                        dead_cluster_events=dead_events, encoder=encoder, decoder=decoder,
+                        dnn=net)
+            for net, probs, losses in zip(dnns, p_h, history)]
 
 
 # ---------------------------------------------------------------------------

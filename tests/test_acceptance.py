@@ -276,7 +276,7 @@ def test_criterion_09_cora_reproduction_band():
                               update_p=1, dropout_rate=0.01, weight_decay=0.01,
                               seed=seed)
             encoder, decoder = pretrain_autoencoder(x_filtered, cfg)
-            result = train_rwsl(x_filtered, x_filtered, 7, cfg, encoder, decoder)
+            (result,) = train_rwsl(x_filtered, x_filtered, 7, cfg, encoder, decoder)
             report = evaluate_all(g, result.assignments, labels)
             accs.append(report.accuracy)
             nmis.append(report.nmi)

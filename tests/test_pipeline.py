@@ -359,9 +359,9 @@ class TestSweeps:
         sweep(cfg, values)
         assert len(counted) == calls
 
-    def test_epsilon_sub_runs_match_standalone_runs(self, fixture_run_values, tmp_path):
-        cfg = resolve_run_config({**fixture_run_values, "n_epochs": 40,
-                                  "pretrain_n_epochs": 30})
+    def check_sub_runs_match_standalone_runs(self, cfg, tmp_path):
+        """Every file a sub-run's manifest lists is the bytes a run of its own
+        writes, and the manifests differ only in the out path."""
         values = [0.0, 0.5, 1.0]
         sweep_epsilon(cfg, values)
         for value in values:
@@ -369,10 +369,61 @@ class TestSweeps:
             alone = tmp_path / f"alone_{value}"
             run_pipeline(replace(cfg, out=str(alone),
                                  train=replace(cfg.train, epsilon=value)))
-            for name in ("filtered.npz", "metrics.json", "assignments.txt"):
+            manifest, alone_manifest = (json.loads((d / "manifest.json").read_text())
+                                        for d in (swept, alone))
+            listed = manifest["artifacts"]
+            assert {"checkpoint.npz", "loss.csv", "metrics.csv", "metrics.json",
+                    "assignments.txt"} <= set(listed)
+            for name in listed:
                 assert (swept / name).read_bytes() == (alone / name).read_bytes(), (value, name)
-            listed = json.loads((swept / "manifest.json").read_text())["artifacts"]
-            assert listed["filtered.npz"] == _sha256(swept / "filtered.npz")
+                assert listed[name] == _sha256(swept / name)
+            assert manifest["config"].pop("out") == str(swept)
+            assert alone_manifest["config"].pop("out") == str(alone)
+            assert manifest == alone_manifest
+
+    def test_epsilon_sub_runs_match_standalone_runs(self, fixture_run_values, tmp_path):
+        cfg = resolve_run_config({**fixture_run_values, "n_epochs": 40,
+                                  "pretrain_n_epochs": 30})
+        self.check_sub_runs_match_standalone_runs(cfg, tmp_path)
+        assert "filtered.npz" in json.loads(
+            (Path(cfg.out) / "epsilon_0.0" / "manifest.json").read_text())["artifacts"]
+
+    @pytest.mark.parametrize("changes", [
+        {"repeat": 2, "dropout_rate": 0.1, "ae_input": "raw"},
+        {"filter_method": "randomwalk", "rrz": 0.5, "r_max": walk_budget(200), "repeat": 2},
+    ], ids=["repeat-dropout-raw", "randomwalk"])
+    def test_epsilon_sub_runs_match_standalone_runs_with(self, changes, fixture_run_values,
+                                                        tmp_path):
+        cfg = resolve_run_config({**fixture_run_values, "n_epochs": 20,
+                                  "pretrain_n_epochs": 10, **changes})
+        self.check_sub_runs_match_standalone_runs(cfg, tmp_path)
+
+    @pytest.mark.parametrize("sweep, values, runs", [
+        (sweep_epsilon, [0.0, 0.5, 1.0], 1),
+        (sweep_alpha, [0.1, 0.5], 2),
+    ])
+    def test_autoencoder_trained_once_per_filter_and_seed(self, sweep, values, runs,
+                                                          fixture_run_values, monkeypatch):
+        import rwsl.pipeline as pl
+        from rwsl.training import pretrain_autoencoder
+        calls = []
+
+        def pretraining(ae_x, cfg):
+            calls.append(("pretrain", cfg.seed))
+            return pretrain_autoencoder(ae_x, cfg)
+
+        def training(x_filtered, ae_x, k, cfg, *args, epsilons):
+            calls.append(("train", cfg.seed, tuple(epsilons)))
+            return train_rwsl(x_filtered, ae_x, k, cfg, *args, epsilons=epsilons)
+
+        monkeypatch.setattr(pl, "pretrain_autoencoder", pretraining)
+        monkeypatch.setattr(pl, "train_rwsl", training)
+        cfg = resolve_run_config({**fixture_run_values, "repeat": 2, "n_epochs": 10,
+                                  "pretrain_n_epochs": 5})
+        sweep(cfg, values)
+        weights = tuple(values) if sweep is sweep_epsilon else (cfg.train.epsilon,)
+        assert calls == runs * [("pretrain", 0), ("train", 0, weights),
+                                ("pretrain", 1), ("train", 1, weights)]
 
     def test_swept_filtered_matrix_is_read_only(self, fixture_run_values, monkeypatch):
         import rwsl.pipeline as pl
@@ -386,7 +437,7 @@ class TestSweeps:
         cfg = resolve_run_config({**fixture_run_values, "n_epochs": 40,
                                   "pretrain_n_epochs": 30})
         sweep_epsilon(cfg, [0.0, 1.0])
-        assert writeable == [False, False]
+        assert writeable == [False]     # one co-train per seed, for both values
 
     def test_stale_cache_in_later_sub_run_replaced(self, fixture_run_values):
         cfg = resolve_run_config({**fixture_run_values, "n_epochs": 40,
@@ -416,7 +467,23 @@ class TestSweeps:
                                   "rrz": 0.5, "r_max": walk_budget(200), "repeat": 2,
                                   "n_epochs": 20, "pretrain_n_epochs": 10})
         sweep_epsilon(cfg, [0.0, 1.0])
-        assert seeds == [0, 1, 0, 1]
+        assert seeds == [0, 1]      # the second value's results come from the first run
+
+    def test_diverging_value_fails_first_sub_run(self, fixture_run_values, monkeypatch):
+        from rwsl import training
+        forward = training.mlp_forward
+
+        def diverging(model, x, dropout=0.0, masks=None, mix=None, mix_eps=0.0):
+            out, hidden, cache = forward(model, x, dropout, masks, mix, mix_eps)
+            return (np.full_like(out, np.nan) if mix_eps == 1.0 else out), hidden, cache
+
+        monkeypatch.setattr(training, "mlp_forward", diverging)
+        cfg = resolve_run_config({**fixture_run_values, "n_epochs": 5, "pretrain_n_epochs": 5})
+        with pytest.raises(PipelineStageError) as failed:
+            sweep_epsilon(cfg, [0.0, 1.0])
+        assert failed.value.stage == "train" and failed.value.exit_code == 6
+        written = sorted(str(p.relative_to(cfg.out)) for p in Path(cfg.out).rglob("*"))
+        assert written == ["epsilon_0.0", str(Path("epsilon_0.0") / "filtered.npz")]
 
     @pytest.mark.parametrize("values, changes", [
         ([], {}),
@@ -480,6 +547,32 @@ class TestBench:
                                  epochs=1, repeats=1, seed=0, k=2)
         assert rows[0]["status"] == "oom" and np.isnan(rows[0]["train_s"])
         assert rows[1]["status"] == "ok"
+
+    def test_graph_released_before_cotrain(self, monkeypatch):
+        import rwsl.pipeline as pl
+        graphs, events = [], []
+        augment, filtering, training = pl.augment_self_loops, pl.filter_exact, pl.train_rwsl
+
+        def augmenting(g):
+            g_aug = augment(g)
+            graphs.append(weakref.ref(g_aug))
+            return g_aug
+
+        def filtered(*args):
+            events.append("filter")
+            return filtering(*args)
+
+        def trained(*args, **kwargs):
+            events.append("train" if graphs[-1]() is None else "train holding the graph")
+            return training(*args, **kwargs)
+
+        monkeypatch.setattr(pl, "augment_self_loops", augmenting)
+        monkeypatch.setattr(pl, "filter_exact", filtered)
+        monkeypatch.setattr(pl, "train_rwsl", trained)
+        rows = bench_scalability([300], edge_factor=4, feat_dim=8, epochs=1,
+                                 repeats=3, seed=0, k=2)
+        assert events == 3 * ["filter"] + 3 * ["train"]
+        assert rows[0]["status"] == "ok"
 
     def test_tiny_run_row(self, tmp_path):
         rows = bench_scalability([300], edge_factor=4, feat_dim=8, epochs=1,

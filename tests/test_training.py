@@ -34,8 +34,9 @@ def clique_inputs(two_cliques):
 
 
 def cotrain(x_filtered, ae_x, n_clusters, cfg):
-    """train_rwsl on the pair pretrain_autoencoder fits on ``ae_x``."""
-    return train_rwsl(x_filtered, ae_x, n_clusters, cfg, *pretrain_autoencoder(ae_x, cfg))
+    """train_rwsl's one result on the pair pretrain_autoencoder fits on ``ae_x``."""
+    (result,) = train_rwsl(x_filtered, ae_x, n_clusters, cfg, *pretrain_autoencoder(ae_x, cfg))
+    return result
 
 
 def inline_masks(model, rows, p, rng):
@@ -173,6 +174,12 @@ class TestTrainRwsl:
         res = cotrain(xf, xf, 2, replace(FAST, kmeans_sample_cap=6))
         assert np.allclose(res.p_h.sum(axis=1), 1.0, atol=1e-9)
 
+    @pytest.mark.parametrize("epsilons", [(), (0.5, 1.5), (-0.1,)])
+    def test_epsilons_validated(self, clique_inputs, epsilons):
+        xf, _ = clique_inputs
+        with pytest.raises(ValueError, match="epsilons"):
+            train_rwsl(xf, xf, 2, FAST, *pretrain_autoencoder(xf, FAST), epsilons=epsilons)
+
     def test_k_validation(self, clique_inputs):
         xf, x = clique_inputs
         with pytest.raises(ValueError):
@@ -190,7 +197,7 @@ class TestTrainRwsl:
         xf, _ = clique_inputs
         enc, dec = pretrain_autoencoder(xf, FAST)
         enc0 = enc.copy()
-        res = train_rwsl(xf, xf, 2, FAST, enc, dec)
+        (res,) = train_rwsl(xf, xf, 2, FAST, enc, dec)
         assert res.encoder is enc and res.decoder is dec
         assert not np.array_equal(enc.weights[0], enc0.weights[0])
         narrow = pretrain_autoencoder(xf, replace(FAST, architecture=(8, 4)))
@@ -334,6 +341,13 @@ def serial_step(models, opts, snapshot, centroids, xa_b, xf_b, t_b, cfg, rng):
     return l_mse, l_h, l_z, l_mse + cfg.beta * l_h + cfg.gamma * l_z
 
 
+def one_dnn_step(models, opts, snapshot, centroids, xa_b, xf_b, t_b, cfg, rng, helper):
+    """The trainer's step with one DNN at ``cfg.epsilon``; its one loss tuple."""
+    (losses,) = training._cotrain_step(models, opts, snapshot, centroids, xa_b, xf_b, t_b,
+                                       (cfg.epsilon,), cfg, rng, helper)
+    return losses
+
+
 class TestHelperThread:
     # 96 rows in 3 batches of 32: the batched passes end on a lone helper
     # batch. One step is 35M multiply-adds, above HELPER_MIN_STEP_MACS.
@@ -409,7 +423,7 @@ class TestHelperThread:
                   init_mlp((self.D, *self.ARCH[:-1], self.K), rng))
         snapshot = encoder.copy()
         runs = []
-        for step in (serial_step, training._cotrain_step):
+        for step in (serial_step, one_dnn_step):
             ms = tuple(m.copy() for m in models)
             opts = [AdamWState.for_params(m.parameters()) for m in ms]
             step_rng = np.random.default_rng(7)
@@ -437,6 +451,47 @@ class TestHelperThread:
         with np.errstate(all="ignore"):
             with pytest.raises(DivergenceError):
                 cotrain(xf, xf, 2, cfg)
+        assert set(threading.enumerate()) == before
+        assert any(name.startswith("rwsl-cotrain") for name in forward_threads)
+
+    @pytest.mark.parametrize("helped", [False, True])
+    @pytest.mark.parametrize("cap", [0, 40])
+    def test_weight_group_matches_single_weight_runs(self, monkeypatch, forward_threads,
+                                                     helped, cap):
+        force_helper(monkeypatch, helped)
+        cfg = replace(self.CFG, dropout_rate=0.1, update_p=2, kmeans_sample_cap=cap)
+        weights = (0.0, 0.3, 1.0)
+        x = self.inputs()
+        group = train_rwsl(x, x, self.K, cfg, *pretrain_autoencoder(x, cfg), epsilons=weights)
+        assert helped == any(name.startswith("rwsl-cotrain") for name in forward_threads)
+        assert len(group) == len(weights)
+        for eps, got in zip(weights, group):
+            want = cotrain(x, x, self.K, replace(cfg, epsilon=eps))
+            for name in ("assignments", "p_z", "p_h", "loss_history", "centroids"):
+                assert np.array_equal(getattr(got, name), getattr(want, name)), (eps, name)
+            for name in ("encoder", "decoder", "dnn"):
+                for a, b in zip(getattr(got, name).parameters(),
+                                getattr(want, name).parameters()):
+                    assert np.array_equal(a, b), (eps, name)
+        assert not np.array_equal(group[0].p_h, group[2].p_h)
+
+    def test_diverging_weight_fails_group_and_joins_helper(self, monkeypatch,
+                                                           forward_threads):
+        force_helper(monkeypatch, True)
+        forward = training.mlp_forward
+
+        def diverging(model, x, dropout=0.0, masks=None, mix=None, mix_eps=0.0):
+            out, hidden, cache = forward(model, x, dropout, masks, mix, mix_eps)
+            if mix is not None and mix_eps == 0.3:
+                out = np.full_like(out, np.nan)
+            return out, hidden, cache
+
+        monkeypatch.setattr(training, "mlp_forward", diverging)
+        x = self.inputs()
+        before = set(threading.enumerate())
+        with pytest.raises(DivergenceError):
+            train_rwsl(x, x, self.K, self.CFG, *pretrain_autoencoder(x, self.CFG),
+                       epsilons=(0.0, 0.3, 1.0))
         assert set(threading.enumerate()) == before
         assert any(name.startswith("rwsl-cotrain") for name in forward_threads)
 
