@@ -25,7 +25,6 @@ from .pipeline import (DESK_SCALE_CEILING, bench_fit_lines, bench_rows_to_csv,
                        load_config_file, resolve_run_config, run_pipeline,
                        spectral_run, split_config, sweep_alpha, sweep_epsilon,
                        write_csv, write_json, write_metric_report_csv)
-from .spectral import DENSE_EIGEN_LIMIT
 from .training import pretrain_autoencoder, save_checkpoint
 
 # argparse type per config field annotation; other annotations take a string
@@ -187,8 +186,7 @@ def _cmd_spectral(args) -> int:
     else:
         g_plain = run_stage("load", rmat_generate, values["n_nodes"], _SPECTRAL_EDGE_FACTOR,
                             values.get("seed", 0))
-    summary = run_stage("spectral", spectral_run, g_plain, alphas, hops, values["out"],
-                        dense_limit=args.dense_limit)
+    summary = run_stage("spectral", spectral_run, g_plain, alphas, hops, values["out"])
     print((Path(values["out"]) / "claims.txt").read_text().strip())
     print(json.dumps(summary["max_abs_gap"]))
     return 0
@@ -258,7 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
                        "without --edges, on an R-MAT graph of --n-nodes nodes")
     common(p, hops=_SPECTRAL_HOPS)
     p.add_argument("--alphas", type=str, default=None, help="comma-separated alphas")
-    p.add_argument("--dense-limit", type=int, default=DENSE_EIGEN_LIMIT)
 
     return parser
 

@@ -89,7 +89,8 @@ def soft_assign(z: np.ndarray, centroids: np.ndarray, v: float = 1.0) -> np.ndar
     return u / mass
 
 
-def _check_row_stochastic(p: np.ndarray, name: str = "p") -> None:
+def check_row_stochastic(p: np.ndarray, name: str = "p") -> None:
+    """Raise ValueError unless ``p`` is nonnegative with rows summing to 1 within 1e-6."""
     if np.any(p < 0.0):
         raise ValueError(f"{name} has negative entries")
     if np.any(np.abs(p.sum(axis=1) - 1.0) > 1e-6):
@@ -102,7 +103,7 @@ def target_distribution(p: np.ndarray) -> np.ndarray:
     A dead cluster (f_j = 0) necessarily has an all-zero column, so it
     stays zero in the target and the remaining columns renormalize.
     """
-    _check_row_stochastic(p)
+    check_row_stochastic(p)
     f = p.sum(axis=0)
     num = (p * p) / np.where(f > 0.0, f, 1.0)
     return num / num.sum(axis=1, keepdims=True)
@@ -115,7 +116,7 @@ def dead_cluster_count(p: np.ndarray) -> int:
 
 def hard_assign(p: np.ndarray) -> np.ndarray:
     """Per-row argmax; ties break to the lowest index."""
-    _check_row_stochastic(p)
+    check_row_stochastic(p)
     return np.argmax(p, axis=1).astype(np.int64)
 
 

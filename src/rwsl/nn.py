@@ -20,6 +20,8 @@ from typing import Optional
 
 import numpy as np
 
+from .clustering import check_row_stochastic
+
 # probability floor inside KL logs; avoids log(0) with negligible bias
 KL_FLOOR = 1e-12
 
@@ -241,11 +243,8 @@ def kl_divergence(t: np.ndarray, p: np.ndarray):
     """
     if t.shape != p.shape:
         raise ValueError(f"shape mismatch {t.shape} vs {p.shape}")
-    for name, dist in (("t", t), ("p", p)):
-        if np.any(dist < 0.0):
-            raise ValueError(f"{name} has negative entries")
-        if np.any(np.abs(dist.sum(axis=1) - 1.0) > 1e-6):
-            raise ValueError(f"rows of {name} do not sum to 1")
+    check_row_stochastic(t, "t")
+    check_row_stochastic(p, "p")
     safe_p = np.maximum(p, KL_FLOOR)
     terms = np.where(t > 0.0, t * (np.log(np.maximum(t, KL_FLOOR)) - np.log(safe_p)), 0.0)
     # the true value is nonnegative; drop the summation's epsilon noise

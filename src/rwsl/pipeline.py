@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import shutil
 import time
 import tracemalloc
 from dataclasses import dataclass, field, fields, replace
@@ -30,7 +31,7 @@ from .filters import (FilterConfig, filter_exact, filter_randomwalk,
 from .graph import (CsrGraph, augment_self_loops, load_edge_list,
                     load_features, load_labels, rmat_generate, save_labels)
 from .metrics import MetricReport, evaluate_all
-from .spectral import DENSE_EIGEN_LIMIT, spectral_report, verify_claim1, verify_claim2
+from .spectral import spectral_report, verify_claim1, verify_claim2
 from .training import (TrainConfig, TrainResult, load_checkpoint, pretrain_autoencoder,
                        save_checkpoint, train_rwsl)
 
@@ -163,9 +164,10 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def _aggregate(reports: list) -> dict:
-    """Mean/std per metric over repeated runs; std flagged zero for repeat=1
-    (the std of one row, which metric validation keeps finite, is 0.0)."""
+def _aggregate(reports: list, seeds: list) -> dict:
+    """Mean/std per metric over repeated runs, then each seed's report; std
+    flagged zero for repeat=1 (the std of one row, which metric validation
+    keeps finite, is 0.0)."""
     table = np.array([[getattr(r, f) for f in MetricReport.FIELDS] for r in reports])
     mean = table.mean(axis=0)
     std = table.std(axis=0)
@@ -174,6 +176,7 @@ def _aggregate(reports: list) -> dict:
         "std_is_zero_flagged": len(reports) < 2,
         "mean": dict(zip(MetricReport.FIELDS, map(float, mean))),
         "std": dict(zip(MetricReport.FIELDS, map(float, std))),
+        "per_seed": [{"seed": s} | r.as_dict() for s, r in zip(seeds, reports)],
     }
 
 
@@ -210,32 +213,18 @@ class PipelineOutcome:
 
 
 def filter_features(g_aug: CsrGraph, x_raw: np.ndarray, cfg: FilterConfig, *,
-                    seed: int = 0, cache_path: Path | None = None,
-                    share: dict | None = None) -> np.ndarray:
+                    seed: int = 0, cache_path: Path | None = None) -> np.ndarray:
     """Filter ``x_raw`` on the self-loop-augmented graph with
     ``cfg.filter_method``; ``seed`` draws the random walks.
 
     With a ``cache_path`` the exact filter reuses the cache written there
     when its header matches these inputs, and otherwise recomputes and
     rewrites it (logging why a stale or unreadable cache was rejected).
-
-    ``share`` is a dict that the runs of one sweep pass here, all with the
-    same graph and features. Its ``"filter"`` entry holds the last exact
-    result, read-only, with its options and cache header. A call with the
-    same ``cfg`` writes both to its own ``cache_path`` instead of filtering
-    again; any other exact call drops only that entry first, so the share
-    never holds more than one filtered matrix.
     """
     if cfg.filter_method == "randomwalk":
         return filter_randomwalk(g_aug, x_raw, cfg, seed)
     if cache_path is None:
         return filter_exact(g_aug, x_raw, cfg)
-    if share is not None:
-        if share.get("filter", (None,))[0] == cfg:
-            _, xf, header = share["filter"]
-            save_filtered_cache(cache_path, xf, header)
-            return xf
-        share.pop("filter", None)
     header = filtered_cache_header(g_aug, cfg, x_raw)
     xf = None
     if cache_path.exists():
@@ -248,9 +237,6 @@ def filter_features(g_aug: CsrGraph, x_raw: np.ndarray, cfg: FilterConfig, *,
     if xf is None:
         xf = filter_exact(g_aug, x_raw, cfg)
         save_filtered_cache(cache_path, xf, header)
-    if share is not None:
-        xf.flags.writeable = False
-        share["filter"] = (cfg, xf, header)
     return xf
 
 
@@ -270,21 +256,21 @@ def run_pipeline(cfg: RunConfig, *, filtered=None, ae_checkpoint=None,
     decoder) replaces pretraining; the manifest records the sha256 of each
     under ``inputs``.
 
-    ``_data`` is how a sweep passes its sub-runs what they share:
-    ``(graph, raw features, labels, share)``, loaded once. ``share`` holds
-    the sweep's filter entry (see ``filter_features``), its sub-run configs
-    (``"runs"``) and the results one sub-run co-trains for another. Sub-runs
-    whose exact filter options are equal filter once per sweep; each writes
-    its own ``filtered.npz``. Per seed, the first sub-run co-trains, in one
-    ``train_rwsl`` call, itself and every sub-run that differs from it only
-    in ``out`` and ``epsilon``; those pretrain, co-train and random-walk
-    filter nothing, and their ``PipelineOutcome.result`` has no ``p_z``/``p_h``.
+    ``_data`` is how a sweep passes inputs it loaded once: ``(graph, raw
+    features, labels, group)``, where ``group`` is ``cfg`` followed by the
+    configs that equal it apart from ``out`` and ``epsilon``. Per seed the
+    run filters (an exact filter once per run), pretrains and co-trains one
+    autoencoder with one DNN per member in one ``train_rwsl`` call, and
+    each member's evaluation and artifacts come from its own DNN: every
+    member's directory holds the bytes a run of its own writes, an exact
+    run's ``filtered.npz`` copied from ``cfg.out``. A member's results are
+    dropped once written; the outcome is ``cfg``'s.
 
     The run drops its reference to the raw features once nothing after the
     filter stage reads them (``ae_input = "filtered"``, and a filter that is
     not redrawn per seed), and to the self-loop-augmented graph once nothing
     refilters, so they are not held through training and evaluation; a
-    sweep keeps the raw matrix its sub-runs share.
+    sweep keeps the raw matrix its runs share.
     """
     out_dir = Path(cfg.out)
     run_stage("write", out_dir.mkdir, parents=True, exist_ok=True)
@@ -293,9 +279,9 @@ def run_pipeline(cfg: RunConfig, *, filtered=None, ae_checkpoint=None,
         g_plain = run_stage("load", load_edge_list, cfg.edges, cfg.n_nodes)
         x_raw = run_stage("load", load_features, cfg.features)
         labels = run_stage("load", load_labels, cfg.labels) if cfg.labels else None
-        share = None
+        group = [cfg]
     else:
-        g_plain, x_raw, labels, share = _data
+        g_plain, x_raw, labels, group = _data
     if x_raw.shape[0] != g_plain.n_nodes or (labels is not None
                                              and len(labels) != g_plain.n_nodes):
         raise PipelineStageError("load", ValueError("row counts disagree with n_nodes"))
@@ -322,59 +308,55 @@ def run_pipeline(cfg: RunConfig, *, filtered=None, ae_checkpoint=None,
     refilter = filtered is None and not exact
     keep_raw = refilter or cfg.train.ae_input == "raw"
 
-    # this run, then the sweep's sub-runs that differ from it only in out and epsilon
-    eps = cfg.train.epsilon
-    group = [cfg, *(sub for sub in (share or {}).get("runs", ()) if sub.out != cfg.out
-                    and replace(sub, out=cfg.out, train=replace(sub.train, epsilon=eps)) == cfg)]
-
-    reports = []
+    reports = [[] for _ in group]
     first = None
     for seed in seeds:
-        result = None if share is None else share.pop((cfg.out, seed), None)
-        if (x_filtered is None or refilter) and (result is None or exact):
+        if x_filtered is None or refilter:
             x_filtered = run_stage("filter", filter_features, g_aug, x_raw, cfg.filter,
-                                   seed=seed, cache_path=cache_path, share=share)
+                                   seed=seed, cache_path=cache_path)
         if not keep_raw:
             x_raw = None
         if not refilter:
             g_aug = None
-        if result is None:
-            train_cfg = replace(cfg.train, seed=seed)
-            ae_x = x_filtered if train_cfg.ae_input == "filtered" else x_raw
-            if autoencoder is None:
-                encoder, decoder = run_stage("pretrain", pretrain_autoencoder, ae_x, train_cfg)
-            else:
-                encoder, decoder = (model.copy() for model in autoencoder)
-            result, *others = run_stage("train", train_rwsl, x_filtered, ae_x, cfg.k, train_cfg,
-                                        encoder, decoder,
-                                        epsilons=[sub.train.epsilon for sub in group])
-            # kept for a later sub-run: what it writes
-            later = {} if seed == seeds[0] else dict.fromkeys(
-                ("loss_history", "centroids", "encoder", "decoder", "dnn"))
-            for sub, other in zip(group[1:], others):
-                share[sub.out, seed] = replace(other, p_z=None, p_h=None, **later)
-            del others
-        if labels is not None:
-            reports.append(run_stage("eval", evaluate_all, g_plain, result.assignments,
-                                     labels))
-        if first is None:
-            first = result
-            run_stage("write", loss_history_to_csv, result.loss_history, out_dir / "loss.csv")
-            run_stage("write", save_labels, result.assignments, out_dir / "assignments.txt")
-            run_stage("write", save_checkpoint, out_dir / "checkpoint.npz",
+        train_cfg = replace(cfg.train, seed=seed)
+        ae_x = x_filtered if train_cfg.ae_input == "filtered" else x_raw
+        if autoencoder is None:
+            encoder, decoder = run_stage("pretrain", pretrain_autoencoder, ae_x, train_cfg)
+        else:
+            encoder, decoder = (model.copy() for model in autoencoder)
+        results = run_stage("train", train_rwsl, x_filtered, ae_x, cfg.k, train_cfg,
+                            encoder, decoder, epsilons=[m.train.epsilon for m in group])
+        # only cfg's soft assignments are read after this (--export-distributions)
+        results[1:] = [replace(r, p_z=None, p_h=None) for r in results[1:]]
+        first = first or results[0]
+        for member, member_reports in zip(group, reports):
+            result = results.pop(0)     # freed after this member unless it is first
+            if labels is not None:
+                member_reports.append(run_stage("eval", evaluate_all, g_plain,
+                                                result.assignments, labels))
+            if seed > seeds[0]:
+                continue
+            dest = Path(member.out)
+            run_stage("write", dest.mkdir, parents=True, exist_ok=True)
+            run_stage("write", loss_history_to_csv, result.loss_history, dest / "loss.csv")
+            run_stage("write", save_labels, result.assignments, dest / "assignments.txt")
+            run_stage("write", save_checkpoint, dest / "checkpoint.npz",
                       {"encoder": result.encoder, "decoder": result.decoder, "dnn": result.dnn},
                       {"seed": seed, "k": cfg.k}, {"centroids": result.centroids})
     written += ["loss.csv", "assignments.txt", "checkpoint.npz"]
-
-    summary = None
-    if reports:
-        summary = _aggregate(reports)
-        summary["per_seed"] = [{"seed": s} | r.as_dict() for s, r in zip(seeds, reports)]
-        run_stage("write", write_json, out_dir / "metrics.json", summary)
-        run_stage("write", write_metric_report_csv, [summary["mean"]], out_dir / "metrics.csv")
+    if labels is not None:
         written += ["metrics.json", "metrics.csv"]
-    run_stage("write", _write_manifest, cfg, seeds, out_dir, inputs, written)
-    return PipelineOutcome(summary, reports, seeds, out_dir, first)
+
+    summaries = [_aggregate(r, seeds) if r else None for r in reports]
+    for member, summary in zip(group, summaries):
+        dest = Path(member.out)
+        if dest != out_dir and "filtered.npz" in written:
+            run_stage("write", shutil.copyfile, out_dir / "filtered.npz", dest / "filtered.npz")
+        if summary is not None:
+            run_stage("write", write_json, dest / "metrics.json", summary)
+            run_stage("write", write_metric_report_csv, [summary["mean"]], dest / "metrics.csv")
+        run_stage("write", _write_manifest, member, seeds, dest, inputs, written)
+    return PipelineOutcome(summaries[0], reports[0], seeds, out_dir, first)
 
 
 def _write_manifest(cfg: RunConfig, seeds: list, out_dir: Path, inputs: dict,
@@ -406,10 +388,12 @@ class SweepResult:
 
 
 def _sweep(cfg: RunConfig, parameter: str, values, make_cfg) -> SweepResult:
-    """One ``run_pipeline`` per value into ``<out>/<parameter>_<value>``, on
-    inputs loaded once and with one filter share (see ``filter_features``),
-    then the long CSV. The values are checked, by building every sub-run's
-    config, before anything is created or loaded."""
+    """Pipeline output for each value in ``<out>/<parameter>_<value>``, on
+    inputs loaded once, then the long CSV from each value's metrics.json.
+    Values whose configs differ only in ``out`` and ``epsilon`` are one
+    ``run_pipeline`` call's group, which writes all their directories. The
+    values are checked, by building every value's config, before anything
+    is created or loaded."""
     values = list(values)
     if not values:
         raise ValueError(f"a {parameter} sweep needs at least one value")
@@ -420,14 +404,17 @@ def _sweep(cfg: RunConfig, parameter: str, values, make_cfg) -> SweepResult:
     out_dir = Path(cfg.out)
     subs = [replace(make_cfg(cfg, value), out=str(out_dir / f"{parameter}_{value}"))
             for value in values]
+    groups = {}
+    for sub in subs:
+        key = replace(sub, out="", train=replace(sub.train, epsilon=0.0))
+        groups.setdefault(key, []).append(sub)
     run_stage("write", out_dir.mkdir, parents=True, exist_ok=True)
     g_plain = run_stage("load", load_edge_list, cfg.edges, cfg.n_nodes)
     x_raw = run_stage("load", load_features, cfg.features)
     labels = run_stage("load", load_labels, cfg.labels)
-    share = {"runs": subs}
-    # keep only the summaries: an outcome also holds that run's models
-    summaries = [run_pipeline(sub, _data=(g_plain, x_raw, labels, share)).summary
-                 for sub in subs]
+    for group in groups.values():
+        run_pipeline(group[0], _data=(g_plain, x_raw, labels, group))
+    summaries = [json.loads((Path(sub.out) / "metrics.json").read_text()) for sub in subs]
     csv_path = out_dir / f"sweep_{parameter}.csv"
     run_stage("write", write_csv, csv_path, (parameter, "metric", "mean", "std"),
               ((str(value), metric, summary["mean"][metric], summary["std"][metric])
@@ -436,13 +423,14 @@ def _sweep(cfg: RunConfig, parameter: str, values, make_cfg) -> SweepResult:
 
 
 def sweep_epsilon(cfg: RunConfig, values) -> SweepResult:
-    """One pipeline per blend weight; emits sweep_epsilon.csv.
+    """One pipeline output directory per blend weight; emits sweep_epsilon.csv.
 
-    Only the co-train DNN reads epsilon, so the sweep filters once (a
-    random-walk sweep once per seed) and, in its first sub-run, co-trains
-    one autoencoder per seed with one DNN per value; the later sub-runs
-    write what it left them, the bytes a run of its own writes. A value
-    whose DNN diverges fails the first sub-run's train stage.
+    Only the co-train DNN reads epsilon, so the sweep is one pipeline run:
+    it filters once (a random-walk sweep once per seed) and co-trains one
+    autoencoder per seed with one DNN per value, and writes each value's
+    directory with the bytes a run of its own writes. A value whose DNN
+    diverges fails the train stage before any value's co-train outputs
+    are written.
     """
     return _sweep(cfg, "epsilon", values,
                   lambda c, v: replace(c, train=replace(c.train, epsilon=v)))
@@ -575,14 +563,13 @@ def bench_fit_lines(rows: list) -> list:
 # spectral report + claim checks for the CLI
 
 
-def spectral_run(g_plain: CsrGraph, alphas, hops: int, out_dir,
-                 dense_limit: int = DENSE_EIGEN_LIMIT) -> dict:
+def spectral_run(g_plain: CsrGraph, alphas, hops: int, out_dir) -> dict:
     """Write eigenvalue CSVs and claim PASS/FAIL lines; returns the summary."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     alphas = sorted(alphas)
     g_aug = augment_self_loops(g_plain)
-    reports = {a: spectral_report(g_aug, a, hops, dense_limit) for a in alphas}
+    reports = {a: spectral_report(g_aug, a, hops) for a in alphas}
 
     first = reports[alphas[0]]
     columns = {"index": np.arange(g_plain.n_nodes),

@@ -105,18 +105,17 @@ def dense_propagation_matrix(g: CsrGraph) -> np.ndarray:
     return d_inv_sqrt[:, None] * a * d_inv_sqrt[None, :]
 
 
-def spectral_report(g: CsrGraph, alpha: float, hops: int,
-                    dense_limit: int = DENSE_EIGEN_LIMIT) -> SpectralReport:
+def spectral_report(g: CsrGraph, alpha: float, hops: int) -> SpectralReport:
     """Compare the closed-form filter spectrum against the truncated filter.
 
     S = sum_{l<=hops} w_l T^l is ``filter_exact`` (rrz 0.5) of the identity,
     T's spectrum comes from ``dense_propagation_matrix``, a separate build of
     the operator; reports the max gap between the closed form evaluated on
-    T's spectrum and S's spectrum. Gated by ``dense_limit`` nodes.
+    T's spectrum and S's spectrum. Gated at ``DENSE_EIGEN_LIMIT`` nodes.
     """
-    if g.n_nodes > dense_limit:
+    if g.n_nodes > DENSE_EIGEN_LIMIT:
         raise DenseEigenLimitError(
-            f"graph has {g.n_nodes} nodes, dense eigensolver limit is {dense_limit}")
+            f"graph has {g.n_nodes} nodes, dense eigensolver limit is {DENSE_EIGEN_LIMIT}")
     eig_t = np.linalg.eigvalsh(dense_propagation_matrix(g))
     s = filter_exact(g, np.eye(g.n_nodes), FilterConfig(alpha=alpha, hops=hops, rrz=0.5))
     eig_s = np.linalg.eigvalsh(0.5 * (s + s.T))

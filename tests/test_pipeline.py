@@ -359,6 +359,25 @@ class TestSweeps:
         sweep(cfg, values)
         assert len(counted) == calls
 
+    @pytest.mark.parametrize("sweep, values, calls", [
+        (sweep_epsilon, [0.0, 0.5, 1.0], 1),
+        (sweep_alpha, [0.1, 0.5], 2),
+    ])
+    def test_graph_augmented_once_per_run(self, sweep, values, calls,
+                                          fixture_run_values, monkeypatch):
+        import rwsl.pipeline as pl
+        counted = []
+
+        def augmenting(g):
+            counted.append(g)
+            return augment_self_loops(g)
+
+        monkeypatch.setattr(pl, "augment_self_loops", augmenting)
+        cfg = resolve_run_config({**fixture_run_values, "n_epochs": 10,
+                                  "pretrain_n_epochs": 5})
+        sweep(cfg, values)
+        assert len(counted) == calls
+
     def check_sub_runs_match_standalone_runs(self, cfg, tmp_path):
         """Every file a sub-run's manifest lists is the bytes a run of its own
         writes, and the manifests differ only in the out path."""
@@ -424,20 +443,6 @@ class TestSweeps:
         weights = tuple(values) if sweep is sweep_epsilon else (cfg.train.epsilon,)
         assert calls == runs * [("pretrain", 0), ("train", 0, weights),
                                 ("pretrain", 1), ("train", 1, weights)]
-
-    def test_swept_filtered_matrix_is_read_only(self, fixture_run_values, monkeypatch):
-        import rwsl.pipeline as pl
-        writeable = []
-
-        def training(x_filtered, *args, **kwargs):
-            writeable.append(x_filtered.flags.writeable)
-            return train_rwsl(x_filtered, *args, **kwargs)
-
-        monkeypatch.setattr(pl, "train_rwsl", training)
-        cfg = resolve_run_config({**fixture_run_values, "n_epochs": 40,
-                                  "pretrain_n_epochs": 30})
-        sweep_epsilon(cfg, [0.0, 1.0])
-        assert writeable == [False]     # one co-train per seed, for both values
 
     def test_stale_cache_in_later_sub_run_replaced(self, fixture_run_values):
         cfg = resolve_run_config({**fixture_run_values, "n_epochs": 40,

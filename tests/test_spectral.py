@@ -124,7 +124,9 @@ class TestSpectralReport:
             assert eig.max() == pytest.approx(1.0, abs=1e-10)
             assert eig.min() > -1.0
 
-    def test_size_gate(self):
+    def test_size_gate(self, monkeypatch):
+        import rwsl.spectral
+        monkeypatch.setattr(rwsl.spectral, "DENSE_EIGEN_LIMIT", 2)
         g = augment_self_loops(from_edge_array(3, np.array([0]), np.array([1])))
         with pytest.raises(DenseEigenLimitError):
-            spectral_report(g, 0.1, 4, dense_limit=2)
+            spectral_report(g, 0.1, 4)
