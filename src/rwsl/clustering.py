@@ -109,11 +109,6 @@ def target_distribution(p: np.ndarray) -> np.ndarray:
     return num / num.sum(axis=1, keepdims=True)
 
 
-def dead_cluster_count(p: np.ndarray) -> int:
-    """Number of clusters with zero soft mass; surfaced as a warning counter."""
-    return int(np.count_nonzero(p.sum(axis=0) == 0.0))
-
-
 def hard_assign(p: np.ndarray) -> np.ndarray:
     """Per-row argmax; ties break to the lowest index."""
     check_row_stochastic(p)

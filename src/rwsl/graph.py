@@ -238,9 +238,10 @@ def graph_hash(g: CsrGraph) -> str:
 # ---------------------------------------------------------------------------
 # synthetic graphs
 
+RMAT_QUADRANTS = (0.45, 0.22, 0.22, 0.11)     # R-MAT's quadrant probabilities a, b, c, d
 
-def rmat_generate(n_nodes: int, edge_factor: float, seed: int,
-                  quadrants=(0.45, 0.22, 0.22, 0.11)) -> CsrGraph:
+
+def rmat_generate(n_nodes: int, edge_factor: float, seed: int) -> CsrGraph:
     """Recursive-matrix random graph with ~edge_factor * n_nodes undirected edges.
 
     Edges are sampled by the usual quadrant recursion, canonicalized,
@@ -255,7 +256,7 @@ def rmat_generate(n_nodes: int, edge_factor: float, seed: int,
     n_bits = max(1, int(np.ceil(np.log2(n_nodes))))
     target = int(round(edge_factor * n_nodes))
     target = min(target, n_nodes * (n_nodes - 1) // 2)
-    a, b, c, _ = quadrants
+    a, b, c, _ = RMAT_QUADRANTS
     seen = np.empty(0, dtype=np.int64)   # unique keys in first-sampled order
     for _ in range(200):
         deficit = target - len(seen)

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import logging
 import shutil
 import time
 import tracemalloc
@@ -24,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CacheMismatchError, PipelineStageError, run_stage
+from .errors import PipelineStageError, run_stage
 from .filters import (FilterConfig, filter_exact, filter_randomwalk,
                       filtered_cache_header, load_filtered_cache,
                       save_filtered_cache)
@@ -213,31 +212,13 @@ class PipelineOutcome:
 
 
 def filter_features(g_aug: CsrGraph, x_raw: np.ndarray, cfg: FilterConfig, *,
-                    seed: int = 0, cache_path: Path | None = None) -> np.ndarray:
+                    seed: int = 0) -> np.ndarray:
     """Filter ``x_raw`` on the self-loop-augmented graph with
-    ``cfg.filter_method``; ``seed`` draws the random walks.
-
-    With a ``cache_path`` the exact filter reuses the cache written there
-    when its header matches these inputs, and otherwise recomputes and
-    rewrites it (logging why a stale or unreadable cache was rejected).
-    """
+    ``cfg.filter_method``; ``seed`` draws the random walks. ``rwsl filter``
+    and ``run_pipeline`` both filter through here."""
     if cfg.filter_method == "randomwalk":
         return filter_randomwalk(g_aug, x_raw, cfg, seed)
-    if cache_path is None:
-        return filter_exact(g_aug, x_raw, cfg)
-    header = filtered_cache_header(g_aug, cfg, x_raw)
-    xf = None
-    if cache_path.exists():
-        try:
-            xf = load_filtered_cache(cache_path, header)
-        except (CacheMismatchError, OSError, KeyError, ValueError) as exc:
-            # stale or unreadable: recompute below
-            logging.getLogger(__name__).warning(
-                "rejected filtered-feature cache %s: %s: %s", cache_path, type(exc).__name__, exc)
-    if xf is None:
-        xf = filter_exact(g_aug, x_raw, cfg)
-        save_filtered_cache(cache_path, xf, header)
-    return xf
+    return filter_exact(g_aug, x_raw, cfg)
 
 
 def run_pipeline(cfg: RunConfig, *, filtered=None, ae_checkpoint=None,
@@ -250,10 +231,12 @@ def run_pipeline(cfg: RunConfig, *, filtered=None, ae_checkpoint=None,
     The top-level loss/assignment/checkpoint artifacts come from the first
     seed. Without labels, evaluation and the metric files are skipped.
 
-    ``filtered`` (a cache written by ``save_filtered_cache``, checked against
-    this run's graph, features, filter options and seed) replaces the filter
-    stage, and ``ae_checkpoint`` (a checkpoint holding an encoder and a
-    decoder) replaces pretraining; the manifest records the sha256 of each
+    An exact run writes the ``filtered.npz`` it computed and never reads a
+    file already in ``out``: ``filtered`` (a cache written by
+    ``save_filtered_cache``, checked against this run's graph, features,
+    filter options and seed) is the one way to reuse a filter, and replaces
+    the filter stage. ``ae_checkpoint`` (a checkpoint holding an encoder and
+    a decoder) replaces pretraining; the manifest records the sha256 of each
     under ``inputs``.
 
     ``_data`` is how a sweep passes inputs it loaded once: ``(graph, raw
@@ -298,8 +281,7 @@ def run_pipeline(cfg: RunConfig, *, filtered=None, ae_checkpoint=None,
         autoencoder = run_stage("load", itemgetter("encoder", "decoder"), models)
         inputs["ae_checkpoint"] = _sha256(Path(ae_checkpoint))
     exact = cfg.filter.filter_method == "exact"
-    cache_path = out_dir / "filtered.npz" if exact else None
-    # in write order; the first filter call writes filtered.npz or checks it
+    # in write order; an exact run writes the filtered.npz it computes
     written = ["filtered.npz"] if filtered is None and exact else []
     seeds = [cfg.train.seed + i for i in range(cfg.repeat)]
     # the random-walk estimate is redrawn per seed; otherwise the augmented
@@ -312,8 +294,10 @@ def run_pipeline(cfg: RunConfig, *, filtered=None, ae_checkpoint=None,
     first = None
     for seed in seeds:
         if x_filtered is None or refilter:
-            x_filtered = run_stage("filter", filter_features, g_aug, x_raw, cfg.filter,
-                                   seed=seed, cache_path=cache_path)
+            x_filtered = run_stage("filter", filter_features, g_aug, x_raw, cfg.filter, seed=seed)
+            if exact:   # once per run, and only without --filtered
+                run_stage("write", save_filtered_cache, out_dir / "filtered.npz", x_filtered,
+                          filtered_cache_header(g_aug, cfg.filter, x_raw))
         if not keep_raw:
             x_raw = None
         if not refilter:
@@ -564,9 +548,10 @@ def bench_fit_lines(rows: list) -> list:
 
 
 def spectral_run(g_plain: CsrGraph, alphas, hops: int, out_dir) -> dict:
-    """Write eigenvalue CSVs and claim PASS/FAIL lines; returns the summary."""
+    """Write eigenvalue CSVs and claim PASS/FAIL lines; returns the summary.
+    A failed write is a ``write`` stage failure (exit code 8)."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    run_stage("write", out_dir.mkdir, parents=True, exist_ok=True)
     alphas = sorted(alphas)
     g_aug = augment_self_loops(g_plain)
     reports = {a: spectral_report(g_aug, a, hops) for a in alphas}
@@ -579,7 +564,7 @@ def spectral_run(g_plain: CsrGraph, alphas, hops: int, out_dir) -> dict:
         columns[f"ppr_closed_a{a}"] = reports[a].eigenvalues_ppr_closed
         columns[f"ppr_laplacian_a{a}"] = 1.0 - reports[a].eigenvalues_ppr_closed
         columns[f"ppr_direct_a{a}"] = reports[a].eigenvalues_ppr_direct
-    write_csv(out_dir / "spectrum.csv", columns, zip(*columns.values()))
+    run_stage("write", write_csv, out_dir / "spectrum.csv", columns, zip(*columns.values()))
 
     claim_lines = []
     claim1_ok = True
@@ -595,7 +580,7 @@ def spectral_run(g_plain: CsrGraph, alphas, hops: int, out_dir) -> dict:
     claim2_ok = verify_claim2(grid_alphas, grid_lambdas)
     claim_lines.append(f"claim2 grid {len(grid_alphas)}x{len(grid_lambdas)} "
                        f"{'PASS' if claim2_ok else 'FAIL'}")
-    (out_dir / "claims.txt").write_text("\n".join(claim_lines) + "\n")
+    run_stage("write", (out_dir / "claims.txt").write_text, "\n".join(claim_lines) + "\n")
 
     summary = {
         "alphas": list(alphas),
@@ -604,5 +589,5 @@ def spectral_run(g_plain: CsrGraph, alphas, hops: int, out_dir) -> dict:
         "claim1_pass": claim1_ok,
         "claim2_pass": bool(claim2_ok),
     }
-    write_json(out_dir / "spectral.json", summary)
+    run_stage("write", write_json, out_dir / "spectral.json", summary)
     return summary

@@ -50,8 +50,8 @@ from typing import Optional
 
 import numpy as np
 
-from .clustering import (dead_cluster_count, hard_assign, kmeans, soft_assign,
-                         soft_assign_kl_grad, target_distribution)
+from .clustering import (hard_assign, kmeans, soft_assign, soft_assign_kl_grad,
+                         target_distribution)
 from .errors import DivergenceError
 from .graph import as_features, as_labels
 from .nn import (AdamWState, MlpModel, adamw_step, init_mlp, kl_divergence,
@@ -365,7 +365,6 @@ class TrainResult:
     p_z: np.ndarray                 # N x K, encoder-side soft assignment
     p_h: np.ndarray                 # N x K, co-train-DNN soft assignment
     loss_history: np.ndarray        # columns: iteration, mse, kl_dnn, kl_enc, total
-    dead_cluster_events: int
     encoder: MlpModel
     decoder: MlpModel
     dnn: MlpModel
@@ -419,7 +418,6 @@ def train_rwsl(x_filtered: np.ndarray, ae_x: np.ndarray, n_clusters: int,
     step_macs = (min(cfg.batch_size, n) * (3 * _macs_per_row(enc_dims)
                                            + len(dnns) * _macs_per_row(dnn.layer_dims)))
     v = cfg.v
-    dead_events = 0
     history = np.zeros((len(dnns), cfg.n_epochs, 5))
 
     # the helper thread, joined on every exit; below the gate each call runs inline
@@ -452,7 +450,6 @@ def train_rwsl(x_filtered: np.ndarray, ae_x: np.ndarray, n_clusters: int,
             if it % cfg.update_p == 0:
                 _each_batch(helper, n, cfg.batch_size, refresh_batch)
                 z_first = None
-                dead_events += dead_cluster_count(p_z)
                 target = target_distribution(p_z)
             order = rng.permutation(n)
             batch_losses = []
@@ -477,8 +474,7 @@ def train_rwsl(x_filtered: np.ndarray, ae_x: np.ndarray, n_clusters: int,
         _each_batch(helper, n, cfg.batch_size, final_batch)
     return [TrainResult(assignments=as_labels(hard_assign(probs), n_clusters),
                         centroids=centroids, p_z=p_z, p_h=probs, loss_history=losses,
-                        dead_cluster_events=dead_events, encoder=encoder, decoder=decoder,
-                        dnn=net)
+                        encoder=encoder, decoder=decoder, dnn=net)
             for net, probs, losses in zip(dnns, p_h, history)]
 
 

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rwsl.clustering import (dead_cluster_count, hard_assign, kmeans,
-                             kmeans_objective, soft_assign, soft_assign_kl_grad,
-                             target_distribution)
+from rwsl.clustering import (hard_assign, kmeans, kmeans_objective, soft_assign,
+                             soft_assign_kl_grad, target_distribution)
 from rwsl.nn import kl_divergence, row_softmax
 
 
@@ -153,7 +152,6 @@ class TestTargetDistribution:
         t = target_distribution(p)
         assert np.all(t[:, 2] == 0.0)
         assert np.allclose(t.sum(axis=1), 1.0)
-        assert dead_cluster_count(p) == 1
 
     def test_invalid_input(self):
         with pytest.raises(ValueError):

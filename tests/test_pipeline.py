@@ -1,6 +1,5 @@
 import hashlib
 import json
-import logging
 import weakref
 from dataclasses import fields, replace
 from pathlib import Path
@@ -15,7 +14,7 @@ from rwsl.filters import (FilterConfig, filter_exact, filtered_cache_header,
                           load_filtered_cache, save_filtered_cache)
 from rwsl.graph import (augment_self_loops, load_edge_list, load_features,
                         rmat_generate, save_edge_list, save_features, save_labels)
-from rwsl.pipeline import (_sha256, bench_rows_to_csv, bench_scalability, filter_features,
+from rwsl.pipeline import (_sha256, bench_rows_to_csv, bench_scalability,
                            load_config_file, parse_architecture,
                            parse_config_text, resolve_run_config,
                            run_config_to_flat, run_pipeline, spectral_run,
@@ -134,43 +133,51 @@ class TestRunPipeline:
         run_pipeline(manifest_cfg)
         assert (out / "metrics.json").read_bytes() == first
 
-    def test_filtered_cache_reused_and_valid(self, fixture_run_values):
+    def test_filtered_cache_rewritten_and_valid(self, fixture_run_values):
         cfg = resolve_run_config(fixture_run_values)
         run_pipeline(cfg)
         g_aug = augment_self_loops(load_edge_list(cfg.edges, cfg.n_nodes))
         header = filtered_cache_header(g_aug, cfg.filter, load_features(cfg.features))
-        cached = load_filtered_cache(Path(cfg.out) / "filtered.npz", header)
+        cache_path = Path(cfg.out) / "filtered.npz"
+        cached = load_filtered_cache(cache_path, header)
         assert cached.shape == (10, 2)
-        # a second run must consume the existing cache without error
+        first = cache_path.read_bytes()
+        # a second run into the same out filters again and writes the same bytes
         run_pipeline(cfg)
+        assert cache_path.read_bytes() == first
 
-    def test_filtered_cache_rejects_changed_features(self, fixture_run_values, tmp_path, caplog):
+    def test_run_never_reads_filtered_npz_in_out(self, fixture_run_values, monkeypatch):
+        import rwsl.pipeline as pl
+        loads = []
+
+        def loading(*args):
+            loads.append(args)
+            return load_filtered_cache(*args)
+
+        monkeypatch.setattr(pl, "load_filtered_cache", loading)
+        cfg = resolve_run_config(fixture_run_values)
+        run_pipeline(cfg)
+        run_pipeline(cfg)
+        assert loads == []
+
+    def test_filtered_cache_rejects_changed_features(self, fixture_run_values, tmp_path):
         cfg = resolve_run_config(fixture_run_values)
         run_pipeline(cfg)
         x_new = np.repeat(np.eye(2)[::-1], 5, axis=0) * 3.0
         save_features(x_new, tmp_path / "features_new.txt")
         cfg = resolve_run_config({**fixture_run_values,
                                   "features": str(tmp_path / "features_new.txt")})
-        with caplog.at_level(logging.WARNING, logger="rwsl.pipeline"):
-            run_pipeline(cfg)
-        [record] = [r for r in caplog.records if r.name == "rwsl.pipeline"]
-        assert record.levelno == logging.WARNING
-        assert "CacheMismatchError" in record.getMessage()
-        assert "features_sha256" in record.getMessage()
-        assert "graph_hash" not in record.getMessage()
+        run_pipeline(cfg)
         g_aug = augment_self_loops(load_edge_list(cfg.edges, cfg.n_nodes))
         with np.load(Path(cfg.out) / "filtered.npz") as blob:
             cached = blob["values"]
         assert np.array_equal(cached, filter_exact(g_aug, x_new, cfg.filter))
 
-    def test_unreadable_filtered_cache_logged_and_recomputed(self, fixture_run_values, caplog):
+    def test_unreadable_filtered_cache_overwritten(self, fixture_run_values):
         cfg = resolve_run_config(fixture_run_values)
         Path(cfg.out).mkdir(parents=True, exist_ok=True)
         (Path(cfg.out) / "filtered.npz").write_bytes(b"not an npz archive")
-        with caplog.at_level(logging.WARNING, logger="rwsl.pipeline"):
-            run_pipeline(cfg)
-        [record] = [r for r in caplog.records if r.name == "rwsl.pipeline"]
-        assert "ValueError" in record.getMessage()
+        run_pipeline(cfg)
         g_aug = augment_self_loops(load_edge_list(cfg.edges, cfg.n_nodes))
         x = load_features(cfg.features)
         assert np.array_equal(load_filtered_cache(Path(cfg.out) / "filtered.npz",
@@ -178,6 +185,8 @@ class TestRunPipeline:
                               filter_exact(g_aug, x, cfg.filter))
 
     def test_stale_cache_hashes_inputs_once(self, fixture_run_values, monkeypatch):
+        # an exact run hashes its graph and its features once each, whatever
+        # filtered.npz its out already holds
         cfg = resolve_run_config(fixture_run_values)
         g_aug = augment_self_loops(load_edge_list(cfg.edges, cfg.n_nodes))
         x = load_features(cfg.features)
@@ -190,11 +199,11 @@ class TestRunPipeline:
                 calls.append(_name)
                 return _fn(*args)
             monkeypatch.setattr(filters, name, counting)
-        xf = filter_features(g_aug, x, cfg.filter, cache_path=cache_path)
+        run_pipeline(cfg)
         assert sorted(calls) == ["_features_sha256", "graph_hash"]
-        assert np.array_equal(xf, filter_exact(g_aug, x, cfg.filter))
-        assert np.array_equal(load_filtered_cache(
-            cache_path, filtered_cache_header(g_aug, cfg.filter, x)), xf)
+        header = filtered_cache_header(g_aug, cfg.filter, x)
+        assert np.array_equal(load_filtered_cache(cache_path, header),
+                              filter_exact(g_aug, x, cfg.filter))
 
     @pytest.mark.parametrize("size", [0, 1, (1 << 20) - 1, 1 << 20, 3 * (1 << 20) + 7])
     def test_sha256_streams_same_digest(self, tmp_path, size):
@@ -849,6 +858,18 @@ class TestCli:
         assert cli_main(argv) == 8
         assert "stage 'write' failed" in capsys.readouterr().err
         assert taken.read_text() == "not a directory\n"
+
+    @pytest.mark.parametrize("command, artifact", [("pipeline", "filtered.npz"),
+                                                   ("spectral", "spectrum.csv")])
+    def test_unwritable_artifact_exits_write(self, command, artifact, fixture_run_values,
+                                             tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / artifact).mkdir(parents=True)
+        argv = [command, *_flags({**fixture_run_values, "out": str(out)})]
+        if command == "spectral":
+            argv = ["spectral", "--n-nodes", "30", "--out", str(out)]
+        assert cli_main(argv) == 8
+        assert "stage 'write' failed" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [["bench", "--sizes", "1,x"],
                                       ["spectral", "--n-nodes", "30", "--alphas", "0.1,y"],
