@@ -1,7 +1,9 @@
 """Command-line interface.
 
-Subcommands: filter | pretrain | train | eval | pipeline | sweep-alpha |
-sweep-epsilon | bench | spectral. Options can come from a config file
+Subcommands: filter | pipeline (alias train) | eval | sweep-alpha |
+sweep-epsilon | bench | spectral. `pipeline` is the one training run;
+with --n-epochs 0 its checkpoint.npz holds the pretrained encoder and
+decoder that --ae-checkpoint reads. Options can come from a config file
 (--config, "key = value" lines or JSON, including a previous run's
 manifest.json) with explicit flags taking precedence. Exit code is 0 on
 success and a stable per-stage nonzero code on failure.
@@ -25,7 +27,6 @@ from .pipeline import (DESK_SCALE_CEILING, bench_fit_lines, bench_rows_to_csv,
                        load_config_file, resolve_run_config, run_pipeline,
                        spectral_run, split_config, sweep_alpha, sweep_epsilon,
                        write_csv, write_json, write_metric_report_csv)
-from .training import pretrain_autoencoder, save_checkpoint
 
 # argparse type per config field annotation; other annotations take a string
 _FLAG_TYPES = {"int": int, "float": float}
@@ -81,26 +82,7 @@ def _cmd_filter(args) -> int:
     return 0
 
 
-def _cmd_pretrain(args) -> int:
-    values = _collect_config(args)
-    _require(values, ("features", "out"))
-    _run, _filter_cfg, train_cfg = run_stage("config", split_config, values)
-    if str(values["features"]).endswith(".npz"):
-        raise PipelineStageError("config", ValueError(
-            f"--features takes a text feature matrix, not {values['features']!r}; "
-            "write filtered features as text with `rwsl filter --text`"))
-    x = run_stage("load", load_features, values["features"])
-    out_dir = Path(values["out"])
-    run_stage("write", out_dir.mkdir, parents=True, exist_ok=True)
-    encoder, decoder = run_stage("pretrain", pretrain_autoencoder, x, train_cfg)
-    run_stage("write", save_checkpoint, out_dir / "pretrain.npz",
-              {"encoder": encoder, "decoder": decoder},
-              {"phase": "pretrain", "seed": train_cfg.seed})
-    print(f"pretrained autoencoder -> {out_dir / 'pretrain.npz'}")
-    return 0
-
-
-def _cmd_train(args) -> int:
+def _cmd_pipeline(args) -> int:
     values = _collect_config(args)
     _require(values, ("edges", "n_nodes", "features", "k", "out"))
     cfg = run_stage("config", resolve_run_config, values)
@@ -113,9 +95,9 @@ def _cmd_train(args) -> int:
             matrix = getattr(outcome.result, name)
             run_stage("write", write_csv, outcome.out_dir / f"{name}.csv",
                       [f"cluster_{j}" for j in range(matrix.shape[1])], matrix)
+    print(f"assignments -> {outcome.out_dir / 'assignments.txt'}")
     if outcome.summary is not None:
         print(json.dumps(outcome.summary["mean"]))
-    print(f"assignments -> {outcome.out_dir / 'assignments.txt'}")
     return 0
 
 
@@ -133,15 +115,6 @@ def _cmd_eval(args) -> int:
     run_stage("write", write_json, out_dir / "metrics.json", report.as_dict())
     run_stage("write", write_metric_report_csv, [report.as_dict()], out_dir / "metrics.csv")
     print(json.dumps(report.as_dict()))
-    return 0
-
-
-def _cmd_pipeline(args) -> int:
-    values = _collect_config(args)
-    _require(values, ("edges", "n_nodes", "features", "labels", "k", "out"))
-    cfg = run_stage("config", resolve_run_config, values)
-    outcome = run_pipeline(cfg)
-    print(json.dumps(outcome.summary["mean"]))
     return 0
 
 
@@ -199,46 +172,44 @@ def build_parser() -> argparse.ArgumentParser:
                     "and a self-supervised co-trained autoencoder.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, **defaults):
-        """The --config flag and one flag per config field; ``defaults``
-        names the defaults a subcommand uses in place of the field's own."""
+    def config_flags(**defaults):
+        """A parent parser with the --config flag and one flag per config
+        field; ``defaults`` names the defaults a subcommand uses in place of
+        the field's own."""
+        p = argparse.ArgumentParser(add_help=False)
         p.add_argument("--config", type=str, default=None,
                        help="config file: 'key = value' lines, JSON, or a manifest.json")
         for _section, f in config_fields():
             default = defaults.get(f.name, f.default)
             p.add_argument("--" + f.name.replace("_", "-"), type=_FLAG_TYPES.get(f.type, str),
                            help=None if default is MISSING else f"default: {default}")
+        return p
 
-    p = sub.add_parser("filter", help="compute and cache filtered features")
-    common(p)
+    common = [config_flags()]
+
+    p = sub.add_parser("filter", parents=common, help="compute and cache filtered features")
     p.add_argument("--text", action="store_true", help="also dump a text matrix")
 
-    p = sub.add_parser("pretrain", help="pretrain the autoencoder on a feature matrix")
-    common(p)
-
-    p = sub.add_parser("train", help="co-train and write assignments")
-    common(p)
+    p = sub.add_parser("pipeline", aliases=["train"], parents=common,
+                       help="filter + pretrain + train, evaluated with --labels")
     p.add_argument("--filtered", type=str, default=None,
                    help="precomputed filtered features: a .npz cache, checked "
                         "against this run's graph, features, filter options and seed")
     p.add_argument("--ae-checkpoint", type=str, default=None,
-                   help="pretrained autoencoder checkpoint (skips pretraining)")
+                   help="pretrained autoencoder checkpoint, such as the checkpoint.npz "
+                        "of a --n-epochs 0 run (skips pretraining)")
     p.add_argument("--export-distributions", action="store_true",
                    help="also write the soft assignment matrices as CSV")
 
-    p = sub.add_parser("eval", help="score saved assignments against labels")
-    common(p)
+    p = sub.add_parser("eval", parents=common, help="score saved assignments against labels")
     p.add_argument("--pred", type=str, default=None, help="assignments file to score")
 
-    p = sub.add_parser("pipeline", help="filter + pretrain + train + evaluate")
-    common(p)
-
-    p = sub.add_parser("sweep-alpha", help="repeat the pipeline over teleport values")
-    common(p)
+    p = sub.add_parser("sweep-alpha", parents=common,
+                       help="repeat the pipeline over teleport values")
     p.add_argument("--values", type=str, required=True, help="comma-separated alphas")
 
-    p = sub.add_parser("sweep-epsilon", help="repeat the pipeline over blend weights")
-    common(p)
+    p = sub.add_parser("sweep-epsilon", parents=common,
+                       help="repeat the pipeline over blend weights")
     p.add_argument("--values", type=str, required=True, help="comma-separated epsilons")
 
     p = sub.add_parser("bench", help="linear-scaling benchmark on synthetic graphs")
@@ -252,9 +223,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-nodes", type=int, default=DESK_SCALE_CEILING,
                    help="desk-scale ceiling; raise to opt in to larger runs")
 
-    p = sub.add_parser("spectral", help="eigenvalue report and claim checks; "
+    p = sub.add_parser("spectral", parents=[config_flags(hops=_SPECTRAL_HOPS)],
+                       help="eigenvalue report and claim checks; "
                        "without --edges, on an R-MAT graph of --n-nodes nodes")
-    common(p, hops=_SPECTRAL_HOPS)
     p.add_argument("--alphas", type=str, default=None, help="comma-separated alphas")
 
     return parser
@@ -262,10 +233,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 _HANDLERS = {
     "filter": _cmd_filter,
-    "pretrain": _cmd_pretrain,
-    "train": _cmd_train,
-    "eval": _cmd_eval,
     "pipeline": _cmd_pipeline,
+    "train": _cmd_pipeline,
+    "eval": _cmd_eval,
     "sweep-alpha": lambda a: _cmd_sweep(a, "alpha"),
     "sweep-epsilon": lambda a: _cmd_sweep(a, "epsilon"),
     "bench": _cmd_bench,

@@ -694,9 +694,9 @@ class TestCli:
 
     def test_train_ae_checkpoint_recorded(self, fixture_run_values, tmp_path, capsys):
         ckpt_dir = tmp_path / "ae"
-        assert cli_main(["pretrain", *_flags({**fixture_run_values,
-                                              "out": str(ckpt_dir)})]) == 0
-        ckpt = ckpt_dir / "pretrain.npz"
+        assert cli_main(["train", *_flags({**fixture_run_values, "n_epochs": 0,
+                                           "out": str(ckpt_dir)})]) == 0
+        ckpt = ckpt_dir / "checkpoint.npz"
         before = ckpt.read_bytes()
         values = {**fixture_run_values, "repeat": 2}
         assert cli_main(["train", "--ae-checkpoint", str(ckpt), *_flags(values)]) == 0
@@ -705,6 +705,28 @@ class TestCli:
         assert manifest["inputs"] == {"ae_checkpoint": _sha256(ckpt)}
         per_seed = json.loads((Path(values["out"]) / "metrics.json").read_text())["per_seed"]
         assert [row["seed"] for row in per_seed] == [0, 1]
+
+    def test_zero_epoch_checkpoint_reproduces_the_run(self, fixture_run_values, tmp_path,
+                                                      capsys):
+        # a zero-epoch run's checkpoint holds the encoder and decoder the
+        # pretrain stage wrote; reusing it changes no byte of a full run
+        pre, plain, reuse = (tmp_path / name for name in ("pre", "plain", "reuse"))
+        assert cli_main(["pipeline", *_flags({**fixture_run_values, "n_epochs": 0,
+                                              "out": str(pre)})]) == 0
+        assert cli_main(["pipeline", *_flags({**fixture_run_values, "out": str(plain)})]) == 0
+        assert cli_main(["pipeline", "--ae-checkpoint", str(pre / "checkpoint.npz"),
+                         *_flags({**fixture_run_values, "out": str(reuse)})]) == 0
+        for name in ("assignments.txt", "loss.csv", "checkpoint.npz", "metrics.json"):
+            assert (reuse / name).read_bytes() == (plain / name).read_bytes()
+
+    def test_pipeline_without_labels_exports_distributions(self, fixture_run_values, tmp_path,
+                                                            capsys):
+        out = tmp_path / "unlabelled"
+        values = {k: v for k, v in fixture_run_values.items() if k != "labels"}
+        assert cli_main(["pipeline", "--export-distributions",
+                         *_flags({**values, "out": str(out)})]) == 0
+        assert (out / "assignments.txt").exists() and (out / "p_h.csv").exists()
+        assert not (out / "metrics.json").exists()
 
     @pytest.mark.parametrize("method", ["exact", "randomwalk"])
     def test_train_writes_pipeline_artifacts(self, method, fixture_run_values, tmp_path,
@@ -747,12 +769,15 @@ class TestCli:
         for name in ("assignments.txt", "loss.csv"):
             assert read("t", name) == read("km1", name)
 
-    @pytest.mark.parametrize("command", ["filter", "pretrain", "train", "eval", "spectral"])
-    def test_stage_exit_codes(self, command, fixture_run_values, tmp_path, capsys):
+    @pytest.mark.parametrize("command, bad_input", [
+        ("filter", "edges"), ("train", "features"), ("train", "edges"), ("eval", "edges"),
+        ("spectral", "edges"),
+    ], ids=["filter", "train-missing-features", "train", "eval", "spectral"])
+    def test_stage_exit_codes(self, command, bad_input, fixture_run_values, tmp_path, capsys):
         bad = tmp_path / "bad_edges.txt"
         bad.write_text("0 1 junk\n")
         values = {**fixture_run_values, "edges": str(bad)}
-        if command == "pretrain":
+        if bad_input == "features":
             values = {**fixture_run_values, "features": str(tmp_path / "missing.txt")}
         extra = ["--pred", fixture_run_values["labels"]] if command == "eval" else []
         assert cli_main([command, *_flags(values), *extra]) == 3
@@ -784,17 +809,6 @@ class TestCli:
         else:
             values["labels"] = str(bad)
         assert cli_main(["eval", *_flags(values), "--pred", pred]) == 3
-
-    def test_pretrain_rejects_npz_features(self, fixture_run_values, tmp_path, capsys):
-        cache = tmp_path / "x.npz"
-        np.savez(cache, values=np.ones((7, 3)), header=np.array("{}"))
-        values = {**fixture_run_values, "features": str(cache), "out": str(tmp_path / "p")}
-        assert cli_main(["pretrain", *_flags(values)]) == 2
-        assert "rwsl filter --text" in capsys.readouterr().err
-        assert not (tmp_path / "p").exists()
-        # the same rule holds for a path that does not exist: nothing is read
-        values["features"] = str(tmp_path / "missing.npz")
-        assert cli_main(["pretrain", *_flags(values)]) == 2
 
     def test_spectral_help_names_its_hops_default(self, capsys):
         with pytest.raises(SystemExit):
@@ -840,8 +854,8 @@ class TestCli:
         assert "stage 'bench' failed: repeats must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "b").exists()
 
-    @pytest.mark.parametrize("command", ["pipeline", "train", "filter", "pretrain", "eval",
-                                         "bench", "sweep-epsilon", "spectral"])
+    @pytest.mark.parametrize("command", ["pipeline", "train", "filter", "eval", "bench",
+                                         "sweep-epsilon", "spectral"])
     def test_out_is_a_file_exits_write(self, command, fixture_run_values, tmp_path, capsys):
         taken = tmp_path / "taken"
         taken.write_text("not a directory\n")
