@@ -3,8 +3,8 @@ parameter sweeps, the linear-scaling benchmark, and artifact/manifest IO.
 
 Every pipeline run writes a fixed artifact set under its output directory
 (metrics.json, metrics.csv, loss.csv, assignments.txt, checkpoint.npz,
-filtered.npz, manifest.json; the metric files need labels, and a random-walk
-run writes no filtered.npz). Every CSV and JSON artifact goes through
+filtered.npz, manifest.json; the metric files need labels, and a run given
+``--filtered`` writes no filtered.npz). Every CSV and JSON artifact goes through
 ``write_csv`` or ``write_json``. The manifest embeds the fully resolved
 configuration and seeds, so re-running from it reproduces the metric values
 bit-exactly.
@@ -23,10 +23,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import PipelineStageError, run_stage
-from .filters import (FilterConfig, filter_exact, filter_randomwalk,
-                      filtered_cache_header, load_filtered_cache,
-                      save_filtered_cache)
+from .errors import CacheMismatchError, PipelineStageError, run_stage
+from .filters import (FilterConfig, _features_sha256, filter_exact, filter_randomwalk,
+                      filtered_cache_header, load_filtered_cache, save_filtered_cache)
 from .graph import (CsrGraph, augment_self_loops, load_edge_list,
                     load_features, load_labels, rmat_generate, save_labels)
 from .metrics import MetricReport, evaluate_all
@@ -225,35 +224,36 @@ def run_pipeline(cfg: RunConfig, *, filtered=None, ae_checkpoint=None,
                  _data=None) -> PipelineOutcome:
     """Execute the full pipeline and write the artifact set.
 
-    Repeats the pretrain/train/evaluate segment with seeds
-    seed .. seed+repeat-1 and aggregates the metric reports; each seed
-    passes one autoencoder input (``ae_input``) to pretraining and training.
-    The top-level loss/assignment/checkpoint artifacts come from the first
-    seed. Without labels, evaluation and the metric files are skipped.
+    The run filters once, before its seed loop (a random-walk estimate is
+    drawn with ``cfg.train.seed``, as ``rwsl filter`` draws it), then
+    repeats the pretrain/train/evaluate segment with seeds
+    seed .. seed+repeat-1 on that matrix and aggregates the metric reports;
+    each seed passes one autoencoder input (``ae_input``) to pretraining and
+    training. The top-level loss/assignment/checkpoint artifacts come from
+    the first seed. Without labels, evaluation and the metric files are
+    skipped.
 
-    An exact run writes the ``filtered.npz`` it computed and never reads a
-    file already in ``out``: ``filtered`` (a cache written by
+    A run writes the ``filtered.npz`` it computed and never reads a file
+    already in ``out``: ``filtered`` (a cache written by
     ``save_filtered_cache``, checked against this run's graph, features,
     filter options and seed) is the one way to reuse a filter, and replaces
-    the filter stage. ``ae_checkpoint`` (a checkpoint holding an encoder and
-    a decoder) replaces pretraining; the manifest records the sha256 of each
-    under ``inputs``.
+    the filter stage. ``ae_checkpoint`` (a checkpoint holding an encoder, a
+    decoder and the sha256 of this run's autoencoder input, or stage
+    ``load`` fails) replaces pretraining; the manifest records the sha256 of
+    each under ``inputs``.
 
     ``_data`` is how a sweep passes inputs it loaded once: ``(graph, raw
     features, labels, group)``, where ``group`` is ``cfg`` followed by the
     configs that equal it apart from ``out`` and ``epsilon``. Per seed the
-    run filters (an exact filter once per run), pretrains and co-trains one
-    autoencoder with one DNN per member in one ``train_rwsl`` call, and
-    each member's evaluation and artifacts come from its own DNN: every
-    member's directory holds the bytes a run of its own writes, an exact
-    run's ``filtered.npz`` copied from ``cfg.out``. A member's results are
-    dropped once written; the outcome is ``cfg``'s.
+    run pretrains and co-trains one autoencoder with one DNN per member in
+    one ``train_rwsl`` call, and each member's evaluation and artifacts come
+    from its own DNN: every member's directory holds the bytes a run of its
+    own writes, ``filtered.npz`` copied from ``cfg.out``. A member's results
+    are dropped once written; the outcome is ``cfg``'s.
 
-    The run drops its reference to the raw features once nothing after the
-    filter stage reads them (``ae_input = "filtered"``, and a filter that is
-    not redrawn per seed), and to the self-loop-augmented graph once nothing
-    refilters, so they are not held through training and evaluation; a
-    sweep keeps the raw matrix its runs share.
+    The augmented graph, and unless ``ae_input = "raw"`` the raw features,
+    are released after the filter stage, so they are not held through
+    training and evaluation; a sweep keeps the raw matrix its runs share.
     """
     out_dir = Path(cfg.out)
     run_stage("write", out_dir.mkdir, parents=True, exist_ok=True)
@@ -270,41 +270,37 @@ def run_pipeline(cfg: RunConfig, *, filtered=None, ae_checkpoint=None,
         raise PipelineStageError("load", ValueError("row counts disagree with n_nodes"))
 
     g_aug = run_stage("filter", augment_self_loops, g_plain)
-    x_filtered = autoencoder = None
+    header = filtered_cache_header(g_aug, cfg.filter, x_raw, seed=cfg.train.seed)
     inputs = {}
     if filtered is not None:
-        header = filtered_cache_header(g_aug, cfg.filter, x_raw, seed=cfg.train.seed)
         x_filtered = run_stage("load", load_filtered_cache, filtered, header)
         inputs["filtered"] = _sha256(Path(filtered))
     if ae_checkpoint is not None:
-        models = run_stage("load", load_checkpoint, ae_checkpoint)[0]
+        models, _, meta = run_stage("load", load_checkpoint, ae_checkpoint)
         autoencoder = run_stage("load", itemgetter("encoder", "decoder"), models)
+        pretrained_on = meta.get("ae_x_sha256", "<absent>")
         inputs["ae_checkpoint"] = _sha256(Path(ae_checkpoint))
-    exact = cfg.filter.filter_method == "exact"
-    # in write order; an exact run writes the filtered.npz it computes
-    written = ["filtered.npz"] if filtered is None and exact else []
+    if filtered is None:
+        x_filtered = run_stage("filter", filter_features, g_aug, x_raw, cfg.filter,
+                               seed=cfg.train.seed)
+        run_stage("write", save_filtered_cache, out_dir / "filtered.npz", x_filtered, header)
+    # nothing reads g_aug after this, nor x_raw unless it is the autoencoder input
+    ae_x = x_filtered if cfg.train.ae_input == "filtered" else x_raw
+    g_aug = x_raw = None
+    ae_x_sha256 = _features_sha256(ae_x)
+    if ae_checkpoint is not None and pretrained_on != ae_x_sha256:
+        raise PipelineStageError("load", CacheMismatchError(
+            f"{ae_checkpoint} was pretrained on another autoencoder input: "
+            f"ae_x_sha256 {pretrained_on} != {ae_x_sha256}"))
+    # in write order; a run writes the filtered.npz it computes
+    written = ["filtered.npz"] if filtered is None else []
     seeds = [cfg.train.seed + i for i in range(cfg.repeat)]
-    # the random-walk estimate is redrawn per seed; otherwise the augmented
-    # graph, and unless the autoencoder reads them the raw features, are not
-    # read after filtering
-    refilter = filtered is None and not exact
-    keep_raw = refilter or cfg.train.ae_input == "raw"
 
     reports = [[] for _ in group]
     first = None
     for seed in seeds:
-        if x_filtered is None or refilter:
-            x_filtered = run_stage("filter", filter_features, g_aug, x_raw, cfg.filter, seed=seed)
-            if exact:   # once per run, and only without --filtered
-                run_stage("write", save_filtered_cache, out_dir / "filtered.npz", x_filtered,
-                          filtered_cache_header(g_aug, cfg.filter, x_raw))
-        if not keep_raw:
-            x_raw = None
-        if not refilter:
-            g_aug = None
         train_cfg = replace(cfg.train, seed=seed)
-        ae_x = x_filtered if train_cfg.ae_input == "filtered" else x_raw
-        if autoencoder is None:
+        if ae_checkpoint is None:
             encoder, decoder = run_stage("pretrain", pretrain_autoencoder, ae_x, train_cfg)
         else:
             encoder, decoder = (model.copy() for model in autoencoder)
@@ -326,7 +322,8 @@ def run_pipeline(cfg: RunConfig, *, filtered=None, ae_checkpoint=None,
             run_stage("write", save_labels, result.assignments, dest / "assignments.txt")
             run_stage("write", save_checkpoint, dest / "checkpoint.npz",
                       {"encoder": result.encoder, "decoder": result.decoder, "dnn": result.dnn},
-                      {"seed": seed, "k": cfg.k}, {"centroids": result.centroids})
+                      {"seed": seed, "k": cfg.k, "ae_x_sha256": ae_x_sha256},
+                      {"centroids": result.centroids})
     written += ["loss.csv", "assignments.txt", "checkpoint.npz"]
     if labels is not None:
         written += ["metrics.json", "metrics.csv"]
@@ -410,11 +407,10 @@ def sweep_epsilon(cfg: RunConfig, values) -> SweepResult:
     """One pipeline output directory per blend weight; emits sweep_epsilon.csv.
 
     Only the co-train DNN reads epsilon, so the sweep is one pipeline run:
-    it filters once (a random-walk sweep once per seed) and co-trains one
-    autoencoder per seed with one DNN per value, and writes each value's
-    directory with the bytes a run of its own writes. A value whose DNN
-    diverges fails the train stage before any value's co-train outputs
-    are written.
+    it filters once, co-trains one autoencoder per seed with one DNN per
+    value, and writes each value's directory with the bytes a run of its
+    own writes. A value whose DNN diverges fails the train stage before any
+    value's co-train outputs are written.
     """
     return _sweep(cfg, "epsilon", values,
                   lambda c, v: replace(c, train=replace(c.train, epsilon=v)))

@@ -10,8 +10,8 @@ import pytest
 from rwsl.cli import _collect_config, build_parser, main as cli_main
 from rwsl.errors import PipelineStageError
 from rwsl import filters
-from rwsl.filters import (FilterConfig, filter_exact, filtered_cache_header,
-                          load_filtered_cache, save_filtered_cache)
+from rwsl.filters import (FilterConfig, filter_exact, filter_randomwalk,
+                          filtered_cache_header, load_filtered_cache, save_filtered_cache)
 from rwsl.graph import (augment_self_loops, load_edge_list, load_features,
                         rmat_generate, save_edge_list, save_features, save_labels)
 from rwsl.pipeline import (_sha256, bench_rows_to_csv, bench_scalability,
@@ -21,7 +21,7 @@ from rwsl.pipeline import (_sha256, bench_rows_to_csv, bench_scalability,
                            sweep_alpha, sweep_epsilon)
 from rwsl.metrics import MetricReport
 from rwsl.spectral import spectral_report
-from rwsl.training import TrainConfig, train_rwsl
+from rwsl.training import TrainConfig, load_checkpoint, save_checkpoint, train_rwsl
 
 from test_filters import walk_budget
 
@@ -250,8 +250,12 @@ class TestRunPipeline:
                                   "n_epochs": 60, "pretrain_n_epochs": 50})
         outcome = run_pipeline(cfg)
         assert outcome.summary["mean"]["accuracy"] == 1.0
-        # the estimator refilters per seed, so no exact-path cache is written
-        assert not (Path(cfg.out) / "filtered.npz").exists()
+        # the run writes the estimate it trained on, drawn with its seed
+        g_aug = augment_self_loops(load_edge_list(cfg.edges, cfg.n_nodes))
+        x = load_features(cfg.features)
+        header = filtered_cache_header(g_aug, cfg.filter, x, seed=cfg.train.seed)
+        assert np.array_equal(load_filtered_cache(Path(cfg.out) / "filtered.npz", header),
+                              filter_randomwalk(g_aug, x, cfg.filter, cfg.train.seed))
 
 
     def test_manifest_lists_only_this_runs_artifacts(self, fixture_run_values, tmp_path,
@@ -267,17 +271,20 @@ class TestRunPipeline:
         run_pipeline(resolve_run_config({**fixture_run_values, "out": str(out),
                                          "filter_method": "randomwalk", "rrz": 0.5,
                                          "r_max": walk_budget(200)}))
-        assert (out / "filtered.npz").exists()
+        # a random-walk run writes its own filtered.npz over the exact one
+        with np.load(out / "filtered.npz") as blob:
+            assert json.loads(str(blob["header"]))["seed"] == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert sorted(manifest["artifacts"]) == ["assignments.txt", "checkpoint.npz",
-                                                 "loss.csv", "metrics.csv", "metrics.json"]
+                                                 "filtered.npz", "loss.csv", "metrics.csv",
+                                                 "metrics.json"]
         for name, digest in manifest["artifacts"].items():
             assert digest == _sha256(out / name)
 
     @pytest.mark.parametrize("changes, released", [
         ({}, True),
         ({"ae_input": "raw"}, False),
-        ({"filter_method": "randomwalk", "rrz": 0.5, "r_max": walk_budget(200)}, False),
+        ({"filter_method": "randomwalk", "rrz": 0.5, "r_max": walk_budget(200)}, True),
     ])
     def test_raw_features_released_after_filtering(self, changes, released,
                                                    fixture_run_values, monkeypatch):
@@ -469,7 +476,6 @@ class TestSweeps:
     def test_randomwalk_epsilon_sweep_filters_per_run_and_seed(self, fixture_run_values,
                                                               monkeypatch):
         import rwsl.pipeline as pl
-        from rwsl.filters import filter_randomwalk
         seeds = []
 
         def walking(g, x, cfg, seed):
@@ -481,7 +487,7 @@ class TestSweeps:
                                   "rrz": 0.5, "r_max": walk_budget(200), "repeat": 2,
                                   "n_epochs": 20, "pretrain_n_epochs": 10})
         sweep_epsilon(cfg, [0.0, 1.0])
-        assert seeds == [0, 1]      # the second value's results come from the first run
+        assert seeds == [0]     # one draw for both values and both seeds
 
     def test_diverging_value_fails_first_sub_run(self, fixture_run_values, monkeypatch):
         from rwsl import training
@@ -719,6 +725,58 @@ class TestCli:
         for name in ("assignments.txt", "loss.csv", "checkpoint.npz", "metrics.json"):
             assert (reuse / name).read_bytes() == (plain / name).read_bytes()
 
+    @pytest.mark.parametrize("pretrained", ["raw-input", "unrecorded"])
+    def test_ae_checkpoint_of_another_input_exits_load(self, pretrained, fixture_run_values,
+                                                       tmp_path, capsys):
+        # a pair pretrained on the raw features, or on this run's input by a
+        # checkpoint that records no hash of it, is not taken by a run whose
+        # autoencoder reads the filtered features
+        pre, out = tmp_path / "pre", tmp_path / "reuse"
+        ae_input = "raw" if pretrained == "raw-input" else "filtered"
+        assert cli_main(["train", *_flags({**fixture_run_values, "n_epochs": 0,
+                                           "ae_input": ae_input, "out": str(pre)})]) == 0
+        ckpt = pre / "checkpoint.npz"
+        if pretrained == "unrecorded":
+            models, arrays, meta = load_checkpoint(ckpt)
+            del meta["ae_x_sha256"]
+            save_checkpoint(ckpt, models, meta, arrays)
+        assert cli_main(["train", "--ae-checkpoint", str(ckpt),
+                         *_flags({**fixture_run_values, "out": str(out)})]) == 3
+        assert "ae_x_sha256" in capsys.readouterr().err
+        assert not (out / "checkpoint.npz").exists()
+
+    def test_randomwalk_run_draws_once_and_writes_its_filter(self, fixture_run_values,
+                                                             tmp_path, monkeypatch, capsys):
+        # the clique features give every walk seed the same estimate, so the
+        # run reads random features, on which seeds 0 and 1 differ
+        import rwsl.pipeline as pl
+        features = tmp_path / "random_features.txt"
+        save_features(np.random.default_rng(0).random((10, 3)), features)
+        values = {**fixture_run_values, "features": str(features), "repeat": 2,
+                  "filter_method": "randomwalk", "rrz": 0.5, "r_max": walk_budget(200)}
+        cfg = resolve_run_config(values)
+        g_aug = augment_self_loops(load_edge_list(cfg.edges, cfg.n_nodes))
+        x = load_features(features)
+        assert not np.array_equal(filter_randomwalk(g_aug, x, cfg.filter, 0),
+                                  filter_randomwalk(g_aug, x, cfg.filter, 1))
+        draws = []
+
+        def walking(g, x, cfg, seed):
+            draws.append(seed)
+            return filter_randomwalk(g, x, cfg, seed)
+
+        monkeypatch.setattr(pl, "filter_randomwalk", walking)
+        run, filt, reuse = (tmp_path / name for name in ("run", "filter", "reuse"))
+        assert cli_main(["train", *_flags({**values, "out": str(run)})]) == 0
+        assert draws == [0]
+        assert cli_main(["filter", *_flags({**values, "out": str(filt)})]) == 0
+        assert (filt / "filtered.npz").read_bytes() == (run / "filtered.npz").read_bytes()
+        assert cli_main(["train", "--filtered", str(filt / "filtered.npz"),
+                         *_flags({**values, "out": str(reuse)})]) == 0
+        assert draws == [0, 0]      # the run's draw and rwsl filter's
+        for name in ("metrics.json", "checkpoint.npz", "assignments.txt", "loss.csv"):
+            assert (reuse / name).read_bytes() == (run / name).read_bytes()
+
     def test_pipeline_without_labels_exports_distributions(self, fixture_run_values, tmp_path,
                                                             capsys):
         out = tmp_path / "unlabelled"
@@ -741,8 +799,7 @@ class TestCli:
             assert cli_main([command, *_flags({**values, "out": str(out)})]) == 0
             written[command] = {n: (out / n).read_bytes() for n in names if (out / n).exists()}
         assert written["train"] == written["pipeline"]
-        assert set(written["train"]) == set(names) - ({"filtered.npz"} if method == "randomwalk"
-                                                      else set())
+        assert set(written["train"]) == set(names)
         out = tmp_path / "repeat"
         assert cli_main(["train", *_flags({**values, "out": str(out), "repeat": 2})]) == 0
         assert len(json.loads((out / "metrics.json").read_text())["per_seed"]) == 2
